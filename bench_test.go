@@ -13,7 +13,6 @@
 package innetcc_bench
 
 import (
-	"fmt"
 	"testing"
 
 	"innetcc/internal/cacti"
@@ -78,19 +77,13 @@ func BenchmarkKernelIdleMesh(b *testing.B) { kernelMeshRun(b, false) }
 // time divided by BenchmarkKernelIdleMesh's is the measured speedup.
 func BenchmarkKernelIdleMeshAlwaysTick(b *testing.B) { kernelMeshRun(b, true) }
 
-// BenchmarkParallelMesh measures the sharded tick engine on a single large
-// simulation: a 16x16 mesh (256 nodes) under the tree protocol, split
-// across 1, 2, 4 and 8 worker shards plus automatic selection (shards=0:
-// sim.AutoShards + the occupancy-driven width tuner). Results are
-// byte-identical at every shard count, so the timing ratios are pure engine
-// speedup. Alongside ns/op, each variant reports the engine's own
-// accounting — mean active routers per busy cycle (occ-tickers) and total
-// coordinator barrier-wait time (barrier-wait-ns) — so a timing regression
-// is attributable to load imbalance or synchronization rather than guessed
-// at. CI's bench-smoke step records the series in BENCH_parallel.json
-// together with the host's CPU count: on a single-core host the parallel
-// variants can only show scheduling overhead, while multicore hosts see the
-// speedup.
+// BenchmarkParallelMesh measures the tick loop on a single large
+// simulation: a 16x16 mesh (256 nodes) under the tree protocol. The name
+// predates the serial kernel; the benchmark is its former serial row.
+// Construction (dominated by allocating and zeroing 256 nodes' caches) is
+// excluded from the timed region, so ns/op is simulation only. CI's
+// bench-smoke step records it in BENCH_soa.json together with the host's
+// CPU count.
 func BenchmarkParallelMesh(b *testing.B) {
 	p, err := trace.ProfileByName("bar")
 	if err != nil {
@@ -100,42 +93,22 @@ func BenchmarkParallelMesh(b *testing.B) {
 	cfg.Topology = network.MeshSpec(16, 16)
 	cfg.Seed = 42
 	tr := trace.Generate(p, cfg.Nodes(), 40, cfg.Seed)
-	for _, shards := range []int{1, 2, 4, 8, 0} {
-		name := fmt.Sprintf("shards=%d", shards)
-		if shards == 0 {
-			name = "shards=auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cycles, occ, barrier float64
-			for i := 0; i < b.N; i++ {
-				// Construction (dominated by allocating and zeroing 256
-				// nodes' caches) is excluded from the timed region: ns/op
-				// is simulation only, so shard-count ratios measure the
-				// tick engine rather than being diluted by setup cost.
-				b.StopTimer()
-				m, err := protocol.Build(protocol.Spec{
-					Config: cfg, Trace: tr, Think: p.Think,
-					Engine: protocol.KindTree, Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := m.Run(200_000_000); err != nil {
-					b.Fatal(err)
-				}
-				cycles = float64(m.Kernel.Now())
-				st := m.Kernel.ShardStats()
-				occ, barrier = 0, float64(st.BarrierWaitNs)
-				if st.BusyCycles > 0 {
-					occ = float64(st.ActiveSum) / float64(st.BusyCycles)
-				}
-			}
-			b.ReportMetric(cycles, "sim-cycles")
-			b.ReportMetric(occ, "occ-tickers")
-			b.ReportMetric(barrier, "barrier-wait-ns")
+	var cycles float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := protocol.Build(protocol.Spec{
+			Config: cfg, Trace: tr, Think: p.Think, Engine: protocol.KindTree,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.Run(200_000_000); err != nil {
+			b.Fatal(err)
+		}
+		cycles = float64(m.Kernel.Now())
 	}
+	b.ReportMetric(cycles, "sim-cycles")
 }
 
 // BenchmarkTopologyMulticast measures hardware multicast on the directory

@@ -55,8 +55,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/cluster/register", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		if !serve.DecodeRequest(w, r, &req) {
 			return
 		}
 		resp, err := c.Register(req)
@@ -70,8 +69,7 @@ func (c *Coordinator) Handler() http.Handler {
 		var req struct {
 			ID string `json:"id"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		if !serve.DecodeRequest(w, r, &req) {
 			return
 		}
 		if err := c.Heartbeat(req.ID); err != nil {
@@ -106,8 +104,7 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req serve.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if !serve.DecodeRequest(w, r, &req) {
 		return
 	}
 	rec, err := c.Submit(req)

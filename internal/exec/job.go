@@ -82,14 +82,10 @@ type Job struct {
 	// validation errors, coherence violations) are never retried.
 	Retries int
 
-	// Shards is the number of worker shards one simulation is split
-	// across: 0 picks automatically (sim.AutoShards plus the kernel's
-	// occupancy-driven width tuner, which keeps small or idle simulations
-	// effectively serial), 1 forces serial, higher counts are explicit.
-	// The sharded engine is byte-identical to serial execution at every
-	// shard count, so Shards is a pure throughput knob: it is
-	// deliberately excluded from the cache hash, and a result computed at
-	// any shard count serves every other.
+	// Shards is ignored and never rejected: simulations run serially. It
+	// is not part of the cache hash.
+	//
+	// Deprecated: perfbench is the only reason it exists.
 	Shards int
 }
 
@@ -135,10 +131,9 @@ func splitmix(z uint64) uint64 {
 }
 
 // hashSpec is the canonical cache identity of a job: every field the
-// simulation result depends on, and nothing else (Key and Shards are
-// excluded — the label never enters the simulation and the sharded engine
-// computes shard-count-independent results; the config's Seed field is
-// zeroed because the run seed derives from SuiteSeed).
+// simulation result depends on, and nothing else (Key and the ignored
+// Shards are excluded — neither enters the simulation; the config's Seed
+// field is zeroed because the run seed derives from SuiteSeed).
 type hashSpec struct {
 	Version     int
 	Engine      protocol.EngineKind

@@ -121,7 +121,6 @@ func runAttempt(job Job, attempt int, opt RunOptions, resume *Snapshot) (res Res
 	if errRes != nil {
 		return *errRes
 	}
-	defer m.Kernel.ReleaseWorkers()
 
 	limit := m.Kernel.Now() + job.maxCycles()
 
@@ -132,7 +131,6 @@ func runAttempt(job Job, attempt int, opt RunOptions, resume *Snapshot) (res Res
 	if resume != nil && resume.Attempt == attempt && resume.Cycle > m.Kernel.Now() {
 		done, _ := m.RunSegment(resume.Cycle, limit)
 		if done || m.Kernel.Now() != resume.Cycle || m.StateDigest() != resume.Digest {
-			m.Kernel.ReleaseWorkers()
 			return runAttempt(job, attempt, opt, nil)
 		}
 	}
@@ -240,7 +238,6 @@ func buildAttempt(job Job, attempt int, col *metrics.Collector) (*protocol.Machi
 		Engine:  job.Engine,
 		Metrics: col,
 		Faults:  plan,
-		Shards:  job.Shards,
 	})
 	if err != nil {
 		return nil, nil, &Result{Err: err.Error(), Metrics: metricsOut(col, true)}

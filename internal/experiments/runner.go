@@ -32,18 +32,9 @@ type Options struct {
 	AccessesPerNode64 int
 	Seed              uint64
 
-	// Jobs is the simulation worker parallelism; <= 0 uses all cores
-	// (divided by Shards so the two knobs together fill the machine).
+	// Jobs is the simulation worker parallelism; <= 0 uses all cores.
 	// Results are identical at every setting.
 	Jobs int
-
-	// Shards splits each individual simulation across this many worker
-	// shards: 0 picks automatically per job (sim.AutoShards + the
-	// kernel's occupancy tuner), 1 forces serial. The sharded engine is
-	// byte-identical to serial execution, so this — like Jobs — never
-	// changes results, only wall-clock time. Prefer Jobs for batches with
-	// many jobs and explicit Shards for a few large simulations.
-	Shards int
 
 	// CacheDir, when non-empty, enables the on-disk result cache there:
 	// re-running an experiment whose job specs are unchanged replays
@@ -135,9 +126,6 @@ func (o Options) Validate() error {
 	if o.Retries < 0 {
 		return fmt.Errorf("experiments: Retries must be non-negative, got %d", o.Retries)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("experiments: Shards must be non-negative, got %d", o.Shards)
-	}
 	if o.Topology != "" {
 		if _, err := network.ParseTopoSpec(o.Topology); err != nil {
 			return fmt.Errorf("experiments: %v", err)
@@ -186,11 +174,6 @@ func runJobs(opt Options, jobs []exec.Job) ([]exec.Result, error) {
 	if opt.Multicast {
 		for i := range jobs {
 			jobs[i].Config.Multicast = true
-		}
-	}
-	if opt.Shards >= 1 {
-		for i := range jobs {
-			jobs[i].Shards = opt.Shards
 		}
 	}
 	p := &exec.Pool{Workers: opt.Jobs}

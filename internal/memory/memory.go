@@ -14,10 +14,10 @@ package memory
 import "sync"
 
 // Memory is the off-chip backing store. The mutex guards the version map
-// and access counters: home-node memory reads and teardown writebacks fire
-// from the sharded route phase. Per-line version monotonicity makes the
-// writeback result independent of same-cycle lock order, and same-cycle
-// accesses to one line are serialized by the protocol itself.
+// and access counters; it was added when home-node memory reads and
+// teardown writebacks could fire from concurrent router ticks. The
+// simulator is serial now, and whether to keep the mutex is an open
+// decision.
 type Memory struct {
 	mu       sync.Mutex
 	latency  int64

@@ -109,27 +109,12 @@ type Collector struct {
 	sampleMask int64
 	counters   [NumCounters]int64
 
-	// Route-phase sharding support: when a hook is installed, events
-	// recorded inside the parallel tick segment are staged per shard and
-	// flushed in shard order at the cycle barrier, so the flight-recorder
-	// sequence is identical at every shard count.
-	hook   ShardHook
-	stages []eventStage
-}
-
-// ShardHook connects a Collector to the sharded tick engine. InTick reports
-// whether the caller is inside the parallel route phase; ShardOf maps a node
-// to the shard ticking it.
-type ShardHook interface {
-	InTick() bool
-	ShardOf(node int) int
-}
-
-// eventStage is one shard's cycle-local event staging buffer; the padding
-// keeps adjacent shards' append bookkeeping off one cache line.
-type eventStage struct {
-	evs []Event
-	_   [64]byte
+	// Route-phase staging: when inRoute is installed and reports true,
+	// node events are held in staged and reach the flight recorder at
+	// the end of the cycle (FlushEvents), together with the network's
+	// other staged router effects.
+	inRoute func() bool
+	staged  []Event
 }
 
 // New builds an enabled Collector.
@@ -158,8 +143,8 @@ func New(o Options) *Collector {
 func (c *Collector) Enabled() bool { return c != nil }
 
 // Add increments counter k by d. No-op on a nil collector. The add is
-// atomic: counter probes fire from the sharded route phase, and a sum is
-// order-independent, so totals stay byte-identical across shard counts.
+// atomic because router ticks once ran concurrently; the simulator is
+// serial now, and whether to keep the atomic is an open decision.
 func (c *Collector) Add(k Counter, d int64) {
 	if c == nil {
 		return
@@ -175,43 +160,37 @@ func (c *Collector) Get(k Counter) int64 {
 	return atomic.LoadInt64(&c.counters[k])
 }
 
-// SetSharding installs the route-phase staging hook with one stage per
-// shard. The machine calls this when it wires metrics into a sharded
-// simulation; it must be paired with a barrier hook running FlushEvents.
-func (c *Collector) SetSharding(numShards int, h ShardHook) {
-	if c == nil || numShards < 1 || h == nil {
+// SetStaging installs the route-phase staging predicate: node events
+// recorded while inRoute reports true are staged until FlushEvents. The
+// machine passes the kernel's InTick and runs FlushEvents at the end of
+// every cycle.
+func (c *Collector) SetStaging(inRoute func() bool) {
+	if c == nil {
 		return
 	}
-	c.hook = h
-	c.stages = make([]eventStage, numShards)
+	c.inRoute = inRoute
 }
 
-// FlushEvents drains staged route-phase events into the flight recorder in
-// shard order. Shards are contiguous ascending router-id bands and each
-// router appends its events in tick order, so the concatenation reproduces
-// the single-threaded recording order exactly.
+// FlushEvents moves staged route-phase events into the flight recorder in
+// the order they were recorded.
 func (c *Collector) FlushEvents() {
-	for i := range c.stages {
-		st := &c.stages[i]
-		for _, e := range st.evs {
-			c.Flight.Record(e.Cycle, e.Kind, e.Node, e.Addr, e.Aux)
-		}
-		st.evs = st.evs[:0]
+	for _, e := range c.staged {
+		c.Flight.Record(e.Cycle, e.Kind, e.Node, e.Addr, e.Aux)
 	}
+	c.staged = c.staged[:0]
 }
 
 // Event appends a protocol event to the flight recorder. No-op on a nil
 // collector. All arguments are scalars so the disabled path allocates
-// nothing at the call site. During the parallel route phase the event is
-// staged on the recording node's shard (amortized-allocation append) and
-// reaches the recorder at the cycle barrier via FlushEvents.
+// nothing at the call site. A node event recorded during the route phase
+// is staged (amortized-allocation append) and reaches the recorder at the
+// end of the cycle via FlushEvents.
 func (c *Collector) Event(cycle int64, kind EventKind, node int16, addr uint64, aux int64) {
 	if c == nil {
 		return
 	}
-	if h := c.hook; h != nil && node >= 0 && h.InTick() {
-		st := &c.stages[h.ShardOf(int(node))]
-		st.evs = append(st.evs, Event{Cycle: cycle, Kind: kind, Node: node, Addr: addr, Aux: aux})
+	if c.inRoute != nil && node >= 0 && c.inRoute() {
+		c.staged = append(c.staged, Event{Cycle: cycle, Kind: kind, Node: node, Addr: addr, Aux: aux})
 		return
 	}
 	c.Flight.Record(cycle, kind, node, addr, aux)

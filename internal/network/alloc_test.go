@@ -53,7 +53,7 @@ func TestIdleRouterTickZeroAllocs(t *testing.T) {
 
 // TestSoAHotPathZeroAllocsMultiRouter is the structure-of-arrays regression
 // guard: with several packets in flight across a row of routers — FIFO ring
-// reuse, busyTill credit updates, arbitration stamps and barrier mailbox
+// reuse, busyTill credit updates, arbitration stamps and end-of-cycle mailbox
 // hand-offs all live in the mesh's flat arrays — a steady-state kernel step
 // must still allocate nothing. A refactor that reintroduces per-tick heap
 // state (boxing, slice growth, map lookups) fails here before it shows up

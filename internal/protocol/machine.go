@@ -179,23 +179,6 @@ func newMachine(spec Spec) (*Machine, error) {
 	if spec.AlwaysTick {
 		k.SetAlwaysTick(true)
 	}
-	s, auto := spec.Shards, spec.Shards == 0
-	if auto {
-		// Auto mode: shard count from GOMAXPROCS and mesh size, actual
-		// parallelism width from live occupancy (the kernel's tuner).
-		// Both are pure scheduling choices — output is byte-identical to
-		// any explicit shard count.
-		s = sim.AutoShards(cfg.Nodes())
-	}
-	if s > 1 {
-		if s > cfg.Nodes() {
-			s = cfg.Nodes()
-		}
-		k.SetShards(s)
-		if auto {
-			k.SetAutoTune(true)
-		}
-	}
 	m := &Machine{
 		Cfg:        cfg,
 		Kernel:     k,
@@ -234,10 +217,9 @@ func (m *Machine) AttachEngine(e Engine, mesh *network.Mesh) {
 		c.NoC = metrics.NewNoC(mesh.Nodes(), mesh.InPorts(), mesh.OutPorts(), mesh.VCCount)
 		mesh.Metrics = c.NoC
 		mesh.DeliverFn = m.observeDelivery
-		// Stage route-phase flight events per shard and flush them at the
-		// barrier, so the recorded sequence matches serial execution at
-		// every shard count.
-		c.SetSharding(mesh.Shards(), meshShardHook{k: m.Kernel, mesh: mesh})
+		// Stage route-phase flight events until the end of the cycle,
+		// after the mesh's staged hand-offs, drops and deliveries.
+		c.SetStaging(m.Kernel.InTick)
 		m.Kernel.OnBarrier(c.FlushEvents)
 	}
 	if m.faults != nil {
@@ -251,16 +233,6 @@ func (m *Machine) AttachEngine(e Engine, mesh *network.Mesh) {
 		m.Kernel.SetWatchdog(w, func() int64 { return mesh.DeliveredPackets + m.LocalHits })
 	}
 }
-
-// meshShardHook adapts the kernel's tick-phase flag and the mesh's shard map
-// to the metrics.ShardHook interface.
-type meshShardHook struct {
-	k    *sim.Kernel
-	mesh *network.Mesh
-}
-
-func (h meshShardHook) InTick() bool         { return h.k.InTick() }
-func (h meshShardHook) ShardOf(node int) int { return h.mesh.ShardOf(node) }
 
 // Engine returns the attached coherence engine.
 func (m *Machine) Engine() Engine { return m.engine }
@@ -464,16 +436,13 @@ func (m *Machine) observeDelivery(p *network.Packet, consumed bool, now int64) {
 	a.serial += p.SerialWait()
 }
 
-// Defer schedules fn after delay cycles on behalf of node. From the event
-// phase it is exactly Kernel.Schedule; from inside a sharded tick — where
-// touching the global event heap would race and its push order would depend
-// on shard interleaving — the call is queued on the shard owning node's
-// router and reaches the heap at the cycle barrier, in router-id order.
-// Route-phase callers always act at the node being ticked, so the shard
-// derived from node is the caller's own.
-func (m *Machine) Defer(node int, delay int64, fn func()) {
+// Defer schedules fn after delay cycles. From the event phase it is
+// exactly Kernel.Schedule; from inside a router's tick the call is queued
+// with Kernel.Defer and reaches the heap at the end of the cycle, after the
+// mesh's staged hand-offs, in router-id order.
+func (m *Machine) Defer(delay int64, fn func()) {
 	if m.Kernel.InTick() {
-		m.Kernel.Defer(m.Mesh.ShardOf(node), delay, fn)
+		m.Kernel.Defer(delay, fn)
 		return
 	}
 	m.Kernel.Schedule(delay, fn)
@@ -492,7 +461,7 @@ func (m *Machine) NICSchedule(node int, service int64, fn func()) {
 		start = m.nicBusy[node]
 	}
 	m.nicBusy[node] = start + service
-	m.Defer(node, start+service-now, fn)
+	m.Defer(start+service-now, fn)
 }
 
 // OutstandingAddr returns the address and kind of node's in-flight access,
@@ -536,7 +505,7 @@ func (m *Machine) evictCleanup(node int, addr uint64, line DataLine, now int64) 
 	// work that installs further lines (e.g. the tree protocol's victim
 	// caching after an instant teardown), and running that synchronously
 	// would re-enter InstallLine and invalidate its line pointer.
-	m.Defer(node, 1, func() {
+	m.Defer(1, func() {
 		m.engine.OnL2Evict(node, addr, line, m.Kernel.Now())
 	})
 }
@@ -610,10 +579,6 @@ func (m *Machine) Run(maxCycles int64) error {
 	if m.engine == nil {
 		return fmt.Errorf("protocol: no engine attached")
 	}
-	// Shard workers are started lazily by the kernel; release them when
-	// the run ends so processes that build many machines don't accumulate
-	// parked goroutines.
-	defer m.Kernel.ReleaseWorkers()
 	_, err := m.RunSegment(math.MaxInt64, m.Kernel.Now()+maxCycles)
 	return err
 }
@@ -634,10 +599,6 @@ func (m *Machine) Run(maxCycles int64) error {
 // cancellation hang off: internal/exec pauses every few hundred thousand
 // cycles to check its context, report progress and snapshot state, without
 // perturbing the simulation.
-//
-// Callers that segment a run are responsible for releasing the kernel's
-// shard workers (Kernel.ReleaseWorkers) once the run is over; Run does it
-// itself.
 func (m *Machine) RunSegment(stopAt, limit int64) (done bool, err error) {
 	if m.engine == nil {
 		return true, fmt.Errorf("protocol: no engine attached")

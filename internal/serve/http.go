@@ -37,6 +37,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// MaxRequestBytes caps every JSON request body the job API decodes, here
+// and in the cluster coordinator. A submission carrying a hand-off
+// snapshot is about 1 KB, so 1 MiB leaves ample room while keeping a
+// request from holding unbounded memory.
+const MaxRequestBytes = 1 << 20
+
+// DecodeRequest decodes r's JSON body into v, reading at most
+// MaxRequestBytes. On failure it answers the request itself — 413 for an
+// oversized body, 400 for a malformed one — and returns false.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -59,8 +82,7 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	rec, err := s.Submit(req)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"innetcc/internal/exec"
+	"innetcc/internal/fault"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 	"innetcc/internal/trace"
@@ -202,7 +203,6 @@ type SubmitRequest struct {
 	MaxCycles int64  `json:"maxCycles,omitempty"`
 	Faults    string `json:"faults,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Metrics   bool   `json:"metrics,omitempty"`
 
 	// Topology overrides the fabric ("mesh:4x4", "torus:8x8", "ring:16");
@@ -223,7 +223,11 @@ type SubmitRequest struct {
 	Snapshot []byte `json:"snapshot,omitempty"`
 }
 
-// BuildJob resolves the request into the exec.Job it describes.
+// BuildJob resolves the request into the exec.Job it describes. It
+// rejects a request whose resolved configuration fails
+// protocol.Config.Validate or whose Faults string fails fault.ParseSpec,
+// so a bad spec is refused at submission instead of failing (or
+// panicking) on a worker.
 func (r SubmitRequest) BuildJob() (exec.Job, error) {
 	p, err := trace.ProfileByName(r.Profile)
 	if err != nil {
@@ -250,6 +254,14 @@ func (r SubmitRequest) BuildJob() (exec.Job, error) {
 	if r.Multicast {
 		cfg.Multicast = true
 	}
+	if err := cfg.Validate(); err != nil {
+		return exec.Job{}, fmt.Errorf("serve: %w", err)
+	}
+	if r.Faults != "" {
+		if _, err := fault.ParseSpec(r.Faults); err != nil {
+			return exec.Job{}, fmt.Errorf("serve: %w", err)
+		}
+	}
 	seed := r.SuiteSeed
 	if seed == 0 {
 		seed = 42
@@ -269,7 +281,6 @@ func (r SubmitRequest) BuildJob() (exec.Job, error) {
 		Metrics:   exec.MetricsSpec{Enabled: r.Metrics},
 		Faults:    r.Faults,
 		Retries:   r.Retries,
-		Shards:    r.Shards,
 	}, nil
 }
 

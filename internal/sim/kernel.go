@@ -40,27 +40,22 @@
 // the next scheduled event instead of stepping through cycles in which
 // nothing can happen.
 //
-// # Sharded parallel ticking
+// # Staged tickers and the end of the cycle
 //
-// Tickers assigned to spatial shards (SetShards + AssignShard) form a second
-// tick segment that can execute on worker goroutines within a cycle,
-// synchronized by a sense-reversing barrier on atomic counters (see
-// shard.go). Unassigned tickers stay in the serial coordinator segment and
-// tick first, in registration order. Sharded tickers must not touch state
-// owned by another shard during their Tick; cross-shard effects are instead
-// deferred — either through Defer, whose queues the kernel drains at the
-// cycle barrier in shard order, or through caller-registered OnBarrier
-// flush hooks (the network's link mailboxes). Because shards hold
-// contiguous ticker ranges and each shard processes its tickers in
-// ascending order, the barrier drain order equals the serial registration
-// order for every shard count — which is what makes parallel output
-// byte-identical to shards=1. Within a busy cycle each shard walks a dense
-// active bitmap over its ID band, so idle routers inside a busy cycle cost
-// nothing — the intra-cycle generalization of the park/fast-forward idea
-// above. SetShards(0 is not a value here; protocol specs use Shards: 0 to
-// request AutoShards) and SetAutoTune cover shard-count selection. See
-// DESIGN.md's shard/barrier section for the full determinism argument.
+// Tickers registered with RegisterStaged (the network's routers) tick with
+// InTick reporting true. Their effects on other components — a flit handed
+// to a neighbor, a callback for the event heap — are staged rather than
+// applied mid-tick: Defer queues a call, and the rest waits in caller
+// state (the network's link mailboxes) that an OnBarrier hook flushes.
+// After every ticker has ticked, the hooks run in registration order and
+// then the Defer queue drains in append order, which is ticker-ID order. Staging keeps a
+// router's hand-off invisible to the routers after it in the same cycle, so
+// queue-occupancy integrals and the flight-recorder sequence do not depend
+// on where in the tick order a neighbor sits. See DESIGN.md's cycle-order
+// section.
 package sim
+
+import "math/bits"
 
 // Ticker is implemented by components that need to perform work every cycle,
 // such as routers and network interfaces.
@@ -150,11 +145,20 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// tickerSlot is one registered ticker plus its activation state.
+// tickerSlot is one registered ticker. Whether it is active lives in the
+// kernel's active bitmap, not here.
 type tickerSlot struct {
 	t      Ticker
 	parker Parker // non-nil when t implements Parker
-	active bool
+	staged bool   // registered with RegisterStaged: ticks with InTick true
+}
+
+// deferredCall is one entry of the end-of-cycle queue: run fn there
+// (delay <= 0) or push it onto the event heap with the given delay
+// (delay >= 1, same clamp as Schedule).
+type deferredCall struct {
+	delay int64
+	fn    func()
 }
 
 // Kernel is the cycle-driven simulation engine. The zero value is not ready
@@ -163,44 +167,27 @@ type Kernel struct {
 	now        int64
 	seq        uint64
 	slots      []tickerSlot
-	slotShard  []int // per slot: owning shard, or -1 for the coordinator
 	events     eventHeap
 	pending    int // scheduled callbacks (fn events) not yet fired
 	rng        *RNG
 	alwaysTick bool
 
-	// Sharded tick segment (see shard.go). coordActive counts active
-	// coordinator slots; shardActive[s] counts active slots of shard s and
-	// is only touched by the coordinator or by shard s's own worker, so no
-	// counter is ever written concurrently. The same ownership rule covers
-	// shardBits[s], shard s's active bitmap: bit (id - shardLo[s]) is set
-	// exactly when sharded slot id is active, so a busy cycle walks set
-	// bits instead of scanning every slot. coordSlots caches the
-	// coordinator-segment IDs (rebuilt when coordDirty) so Step's serial
-	// segment doesn't re-scan slotShard every cycle.
-	shards      int
-	nSharded    int
-	coordActive int
-	coordSlots  []TickerID
-	coordDirty  bool
-	shardActive []int
-	shardSlots  [][]TickerID
-	shardBits   [][]uint64
-	shardLo     []int
-	inTick      bool
-	deferred    [][]deferredCall
-	barrierFns  []func()
-	workBuf     []int32
-	wb          *workBench
+	// active is the active-ticker bitmap: bit id is set exactly when slot
+	// id is active, so a cycle walks set bits instead of every slot.
+	// nActive counts the set bits.
+	active  []uint64
+	nActive int
 
-	// Width auto-tuning (SetAutoTune) and performance accounting
-	// (ShardStats); stats' per-shard slice lives in occSum.
-	autoTune   bool
-	parWidth   int
-	tuneBusy   int64
-	tuneActive int64
-	stats      ShardStats
-	occSum     []int64
+	// End-of-cycle staging (see the package comment). inTick is true
+	// while a staged ticker ticks.
+	inTick     bool
+	deferred   []deferredCall
+	barrierFns []func()
+
+	// Occupancy accounting for ShardStats: cycles in which any ticker
+	// ticked, and the active-ticker count summed over them.
+	busyCycles int64
+	activeSum  int64
 
 	// Hang watchdog (SetWatchdog). fired counts events ever fired — the
 	// kernel's own progress signal — and watchFn adds the caller's
@@ -219,9 +206,7 @@ type Kernel struct {
 // seed. Two kernels built with the same seed and the same component
 // registration order produce bit-identical simulations.
 func NewKernel(seed uint64) *Kernel {
-	k := &Kernel{rng: NewRNG(seed)}
-	k.initShards(1)
-	return k
+	return &Kernel{rng: NewRNG(seed)}
 }
 
 // Now returns the current cycle.
@@ -231,38 +216,42 @@ func (k *Kernel) Now() int64 { return k.now }
 func (k *Kernel) RNG() *RNG { return k.rng }
 
 // Register adds t to the set of components ticked every cycle and returns
-// its TickerID for Wake/WakeAt. Tickers start active and must all be
-// registered before the first Step.
+// its TickerID for Wake/WakeAt. Tickers tick in registration order, start
+// active, and must all be registered before the first Step.
 func (k *Kernel) Register(t Ticker) TickerID {
-	s := tickerSlot{t: t, active: true}
+	s := tickerSlot{t: t}
 	if p, ok := t.(Parker); ok {
 		s.parker = p
 	}
 	k.slots = append(k.slots, s)
-	k.slotShard = append(k.slotShard, -1)
-	k.coordActive++
-	k.coordDirty = true
-	return TickerID(len(k.slots) - 1)
+	id := TickerID(len(k.slots) - 1)
+	if int(id)>>6 >= len(k.active) {
+		k.active = append(k.active, 0)
+	}
+	k.Wake(id)
+	return id
+}
+
+// RegisterStaged is Register for a ticker whose effects on other
+// components are staged until the end of the cycle: InTick reports true
+// while it ticks, and it reaches other components only through Defer and
+// OnBarrier hooks.
+func (k *Kernel) RegisterStaged(t Ticker) TickerID {
+	id := k.Register(t)
+	k.slots[id].staged = true
+	return id
 }
 
 // Wake reactivates a parked ticker. Waking an active ticker is a no-op, so
 // producers call it unconditionally when handing a component new work. A
 // ticker woken during the current cycle's event phase, or by an
-// earlier-registered ticker in the same cycle, ticks in that same cycle.
-// Wake may be called from a shard worker only for tickers of that worker's
-// own shard (the self-wake a router performs when spawning into its own
-// queues); every other caller runs on the coordinator.
+// earlier-registered ticker in the same cycle, ticks in that same cycle; a
+// ticker woken by itself or by a later-registered one ticks next cycle.
 func (k *Kernel) Wake(id TickerID) {
-	s := &k.slots[id]
-	if !s.active {
-		s.active = true
-		if sh := k.slotShard[id]; sh >= 0 {
-			k.shardActive[sh]++
-			off := int(id) - k.shardLo[sh]
-			k.shardBits[sh][off>>6] |= 1 << (uint(off) & 63)
-		} else {
-			k.coordActive++
-		}
+	w, b := int(id)>>6, uint64(1)<<(uint(id)&63)
+	if k.active[w]&b == 0 {
+		k.active[w] |= b
+		k.nActive++
 	}
 }
 
@@ -289,9 +278,7 @@ func (k *Kernel) SetAlwaysTick(on bool) {
 	k.alwaysTick = on
 	if on {
 		for i := range k.slots {
-			if !k.slots[i].active {
-				k.Wake(TickerID(i))
-			}
+			k.Wake(TickerID(i))
 		}
 	}
 }
@@ -312,13 +299,32 @@ func (k *Kernel) Schedule(delay int64, fn func()) int64 {
 	return k.now + delay
 }
 
+// InTick reports whether a staged ticker is ticking. Code that runs both
+// from event handlers and from a router's tick (the protocol layer's
+// controller helpers) uses it to choose between Schedule and Defer.
+func (k *Kernel) InTick() bool { return k.inTick }
+
+// Defer queues fn for the end of the current cycle: with delay >= 1 it is
+// then pushed onto the event heap exactly as Schedule(delay, fn) would;
+// with delay <= 0 it runs there (still this cycle, after all ticks).
+// Queued calls apply in Defer order, after the OnBarrier hooks.
+func (k *Kernel) Defer(delay int64, fn func()) {
+	k.deferred = append(k.deferred, deferredCall{delay: delay, fn: fn})
+}
+
+// OnBarrier registers a hook run at the end of every cycle, after all
+// tickers have ticked and before the Defer queue drains. Hooks run in
+// registration order; the network layer uses one to move mailboxed flits
+// onto their destination routers' input FIFOs.
+func (k *Kernel) OnBarrier(fn func()) {
+	k.barrierFns = append(k.barrierFns, fn)
+}
+
 // Step advances the clock one cycle: the cycle counter increments, due
 // events fire in schedule order (wake timers reactivate their tickers),
-// then active coordinator tickers tick in registration order, then the
-// sharded segment ticks (in parallel when multiple shards have work),
-// followed by the cycle barrier: OnBarrier flush hooks run in registration
-// order and the per-shard Defer queues drain in shard order. Active Parkers
-// reporting quiescence are parked as they tick.
+// active tickers tick in registration order — Parkers reporting quiescence
+// are parked as they tick — then the OnBarrier hooks run and the Defer
+// queue drains.
 func (k *Kernel) Step() {
 	k.now++
 	for len(k.events) > 0 && k.events[0].at <= k.now {
@@ -331,46 +337,72 @@ func (k *Kernel) Step() {
 			k.Wake(e.wake)
 		}
 	}
-	if k.coordDirty {
-		k.coordSlots = k.coordSlots[:0]
-		for i := range k.slots {
-			if k.slotShard[i] < 0 {
-				k.coordSlots = append(k.coordSlots, TickerID(i))
-			}
-		}
-		k.coordDirty = false
+	if k.nActive > 0 {
+		k.busyCycles++
+		k.activeSum += int64(k.nActive)
+		k.tick()
 	}
-	for _, id := range k.coordSlots {
-		s := &k.slots[id]
-		if !s.active {
-			continue
-		}
-		s.t.Tick(k.now)
-		if !k.alwaysTick && s.parker != nil && s.parker.Quiescent() {
-			s.active = false
-			k.coordActive--
-		}
+	for _, fn := range k.barrierFns {
+		fn()
 	}
-	if k.nSharded > 0 {
-		k.inTick = true
-		k.tickShards()
-		k.inTick = false
-		for _, fn := range k.barrierFns {
-			fn()
-		}
-		k.drainDeferred()
-	}
+	k.drainDeferred()
 	if k.watchW > 0 && k.now >= k.watchAt {
 		p := k.fired
 		if k.watchFn != nil {
 			p += k.watchFn()
 		}
-		if p == k.watchLast && k.activeTotal() > 0 {
+		if p == k.watchLast && k.nActive > 0 {
 			k.hung = true
 		}
 		k.watchLast = p
 		k.watchAt = k.now + k.watchW
 	}
+}
+
+// tick ticks every active ticker once in ascending ID order, parking
+// quiescent Parkers. The walk follows the active bitmap word by word,
+// re-reading each word as bits are consumed: a wake of a later-ID ticker
+// during the walk is picked up in this same cycle, while a wake of an ID
+// the walk has passed waits for the next cycle.
+func (k *Kernel) tick() {
+	bm := k.active
+	for w := range bm {
+		var done uint64
+		for {
+			word := bm[w] &^ done
+			if word == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(word)
+			// Mark every position up to b consumed, not just b: the walk
+			// has passed them, so a wake landing on an earlier ID after
+			// this waits for the next cycle.
+			done |= ^uint64(0) >> uint(63-b)
+			sl := &k.slots[w<<6+b]
+			k.inTick = sl.staged
+			sl.t.Tick(k.now)
+			if !k.alwaysTick && sl.parker != nil && sl.parker.Quiescent() {
+				bm[w] &^= 1 << uint(b)
+				k.nActive--
+			}
+		}
+	}
+	k.inTick = false
+}
+
+// drainDeferred applies the end-of-cycle queue in append order.
+func (k *Kernel) drainDeferred() {
+	q := k.deferred
+	for i := range q {
+		d := q[i]
+		if d.delay <= 0 {
+			d.fn()
+		} else {
+			k.Schedule(d.delay, d.fn)
+		}
+		q[i] = deferredCall{} // drop the closure reference
+	}
+	k.deferred = q[:0]
 }
 
 // SetWatchdog arms the hang watchdog: if, over any window cycles, no event
@@ -398,7 +430,7 @@ func (k *Kernel) Hung() bool { return k.hung }
 // cycle before it and let Step fire it. The clock never passes limit-1, so
 // callers' loop bounds hold exactly. Returns whether a skip happened.
 func (k *Kernel) skipIdle(limit int64) bool {
-	if k.activeTotal() != 0 || k.alwaysTick {
+	if k.nActive != 0 || k.alwaysTick {
 		return false
 	}
 	target := limit - 1

@@ -284,8 +284,9 @@ func TestSummarizeDoesNotAllocate(t *testing.T) {
 }
 
 func TestCountersConcurrent(t *testing.T) {
-	// Inc is called from the sharded route phase; hammer it from several
-	// goroutines and check totals (run under -race to catch unguarded maps).
+	// Counters is documented as safe for concurrent use; hammer it from
+	// several goroutines and check totals (run under -race to catch
+	// unguarded maps).
 	var c Counters
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {

@@ -28,12 +28,10 @@ import (
 // Engines are required to report every data-cache line validation and
 // invalidation so the copy registry is exact.
 //
-// The mutex guards every map and list: checks fire from the sharded route
-// phase (sharer-serve read sampling, teardown copy invalidation) as well as
-// from the serial event phase. Each check is keyed by line address and the
-// protocol serializes conflicting accesses to a line, so same-cycle checks
-// from different shards touch different lines and locking order never
-// affects results.
+// The mutex guards every map and list. It was added when checks could
+// fire from concurrent router ticks (sharer-serve read sampling, teardown
+// copy invalidation); the simulator is serial now, and whether to keep the
+// mutex is an open decision.
 type Checker struct {
 	mu        sync.Mutex
 	version   map[uint64]uint64       // committed version per line

@@ -13,9 +13,9 @@
 # check.sh wires this in as an advisory step against the committed numbers;
 # run it by hand to gate a change on a fresh A/B measurement:
 #
-#   git show HEAD:BENCH_parallel.json > /tmp/old.json
-#   PARALLEL_BENCHTIME=5x tools/check.sh
-#   tools/benchdiff.sh /tmp/old.json BENCH_parallel.json
+#   git show HEAD:BENCH_soa.json > /tmp/old.json
+#   SOA_BENCHTIME=5x tools/check.sh
+#   tools/benchdiff.sh /tmp/old.json BENCH_soa.json
 set -eu
 
 if [ "$#" -lt 2 ]; then
