@@ -37,12 +37,17 @@
 // queue bound is hit) and, when enabled, falls back to running jobs
 // locally so the service degrades to a single-host serve instead of
 // stalling.
+//
+// The job lifecycle itself — job table, event streams with Last-Event-ID
+// replay, the /v1/jobs handlers and the record store — is serve's
+// (serve.Table, serve.JobMux, serve.Store), so clients cannot tell a
+// cluster from one server. This package adds only what differs: the
+// backlog bound, the worker registry with leases and breakers, remote
+// dispatch with checkpoint migration, and local fallback.
 package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -185,11 +190,12 @@ var ErrUnknownWorker = errors.New("cluster: unknown worker")
 // local fallback (or during coordinator drain hand-off).
 const localWorker = "(local)"
 
-// cjob is one job's coordinator-side state: the client-visible record,
-// the original submission (re-shipped on every dispatch), the latest
-// pulled checkpoint, and dispatch bookkeeping.
+// cjob is one job's coordinator-side state: the shared lifecycle
+// (record, result, event ring), the original submission (re-shipped on
+// every dispatch), the latest pulled checkpoint, and dispatch
+// bookkeeping.
 type cjob struct {
-	rec serve.JobRecord
+	serve.Entry
 	req serve.SubmitRequest
 
 	// snapshot is the latest checkpoint known for the job — pulled from
@@ -205,24 +211,26 @@ type cjob struct {
 
 	userCanceled bool
 	cancelLocal  context.CancelFunc // set while running locally
-
-	// Event stream state (see events.go): job-local event IDs, the
-	// retained replay ring, and live subscriber channels.
-	lastEv int64
-	hist   []serve.Event
-	subs   []chan serve.Event
-
-	result *exec.Result
-	done   chan struct{}
 }
 
-// Coordinator owns the cluster job table, the worker registry with its
-// leases and breakers, and the dispatch loops. HTTP handling lives in
-// http.go over the same methods the tests call directly.
+// persistedJob is the durable form of one coordinator job: the
+// client-visible record, the original submission (needed to re-dispatch
+// after a restart), and the redispatch count so the give-up bound
+// survives restarts too.
+type persistedJob struct {
+	Rec          serve.JobRecord     `json:"rec"`
+	Req          serve.SubmitRequest `json:"req"`
+	Redispatches int                 `json:"redispatches,omitempty"`
+}
+
+// Coordinator owns the worker registry with its leases and breakers and
+// the dispatch loops; the job table, event streams and record store are
+// serve's (serve.Table, serve.Store). HTTP handling lives in http.go
+// over the same methods the tests call directly.
 type Coordinator struct {
 	opt   Options
-	store *cstore     // nil when memory-only
-	cache *exec.Cache // nil when memory-only
+	store *serve.Store // nil when memory-only
+	cache *exec.Cache  // nil when memory-only
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -230,9 +238,8 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	jobs    map[string]*cjob
+	jobs    *serve.Table[*cjob]
 	workers map[string]*worker
-	seq     int64
 	closed  bool
 
 	localActive int
@@ -250,61 +257,40 @@ type Coordinator struct {
 // persisted jobs are reloaded: terminal ones stay queryable, interrupted
 // ones are requeued together with their last migrated checkpoint.
 func New(opt Options) (*Coordinator, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{
-		opt:        opt,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       make(map[string]*cjob),
-		workers:    make(map[string]*worker),
-	}
+	c := &Coordinator{opt: opt, workers: make(map[string]*worker)}
 	c.cond = sync.NewCond(&c.mu)
-
 	if opt.DataDir != "" {
-		st, err := openCStore(opt.DataDir)
+		st, err := serve.OpenStore(opt.DataDir, "snap")
 		if err != nil {
-			cancel()
+			return nil, err
+		}
+		if c.cache, err = exec.OpenCache(st.CacheDir()); err != nil {
 			return nil, err
 		}
 		c.store = st
-		cache, err := exec.OpenCache(st.cacheDir())
+	}
+	c.jobs = serve.NewTable(&c.mu, "c-", c.store, func(j *cjob) any {
+		return persistedJob{Rec: j.Rec, Req: j.req, Redispatches: j.redispatches}
+	}, c.cache)
+	if c.store != nil {
+		pjs, err := serve.LoadJobs(c.store, func(pj *persistedJob) string { return pj.Rec.ID })
 		if err != nil {
-			cancel()
-			return nil, err
-		}
-		c.cache = cache
-		pjs, err := st.loadJobs()
-		if err != nil {
-			cancel()
 			return nil, err
 		}
 		for _, pj := range pjs {
-			j := &cjob{
-				rec:          pj.Rec,
-				req:          pj.Req,
-				redispatches: pj.Redispatches,
-				done:         make(chan struct{}),
+			j := &cjob{Entry: serve.Entry{Rec: pj.Rec}, req: pj.Req, redispatches: pj.Redispatches}
+			if err := c.jobs.Restore(j); err != nil {
+				return nil, err
 			}
-			if j.rec.Terminal() {
-				close(j.done)
-			} else {
-				j.rec.State = serve.StateQueued
-				j.rec.StartedAt = 0
-				j.workerID = ""
-				if b, err := st.snapBytes(j.rec.ID); err == nil {
-					if _, err := exec.HandoffSnapshot(b, j.rec.Job); err == nil {
-						j.snapshot = b
-					}
+			if b, err := c.store.SnapshotBytes(j.Rec.ID); err == nil && !j.Rec.Terminal() {
+				if _, err := exec.HandoffSnapshot(b, j.Rec.Job); err == nil {
+					j.snapshot = b
 				}
-				c.persistLocked(j)
-			}
-			c.jobs[j.rec.ID] = j
-			if j.rec.Seq >= c.seq {
-				c.seq = j.rec.Seq + 1
 			}
 		}
 	}
 
+	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
 	c.wg.Add(2)
 	go c.scheduler()
 	go c.leaseMonitor()
@@ -315,28 +301,18 @@ func New(opt Options) (*Coordinator, error) {
 // enqueues the job. A submission carrying a hand-off snapshot has it
 // verified against the spec and staged for the first dispatch.
 func (c *Coordinator) Submit(req serve.SubmitRequest) (serve.JobRecord, error) {
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	job, err := req.BuildJob()
+	job, err := req.Prepare()
 	if err != nil {
 		return serve.JobRecord{}, err
 	}
-	if len(req.Snapshot) > 0 {
-		if _, err := exec.HandoffSnapshot(req.Snapshot, job); err != nil {
-			return serve.JobRecord{}, fmt.Errorf("cluster: hand-off snapshot: %w", err)
-		}
-	}
-	hash := job.Hash()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return serve.JobRecord{}, fmt.Errorf("cluster: coordinator is draining")
 	}
 	queued := 0
-	for _, j := range c.jobs {
-		if j.rec.State == serve.StateQueued {
+	for _, j := range c.jobs.ByID {
+		if j.Rec.State == serve.StateQueued {
 			queued++
 		}
 	}
@@ -344,112 +320,39 @@ func (c *Coordinator) Submit(req serve.SubmitRequest) (serve.JobRecord, error) {
 		return serve.JobRecord{}, fmt.Errorf("%w: %d jobs queued (max %d)",
 			ErrBacklogFull, queued, c.opt.maxQueued())
 	}
-	j := &cjob{
-		rec: serve.JobRecord{
-			ID:          c.newIDLocked(hash),
-			Tenant:      req.Tenant,
-			Priority:    req.Priority,
-			State:       serve.StateQueued,
-			Hash:        hash,
-			SubmittedAt: time.Now().UnixMilli(),
-			Seq:         c.seq,
-			Job:         job,
-		},
-		req:      req,
-		snapshot: req.Snapshot,
-		done:     make(chan struct{}),
-	}
+	j := &cjob{req: req, snapshot: req.Snapshot}
 	j.req.Snapshot = nil // the live snapshot field is authoritative from here
-	c.seq++
-	c.jobs[j.rec.ID] = j
-	c.persistLocked(j)
-	if len(j.snapshot) > 0 && c.store != nil {
-		c.store.putSnap(j.rec.ID, j.snapshot)
+	if err := c.jobs.Add(j, req, job); err != nil {
+		return serve.JobRecord{}, err
 	}
-	c.publishStateLocked(j)
 	c.cond.Broadcast()
-	return j.rec, nil
-}
-
-// newIDLocked generates a unique cluster job ID ("c-" prefix so cluster
-// and worker job IDs are distinguishable in logs).
-func (c *Coordinator) newIDLocked(hash string) string {
-	for {
-		var b [6]byte
-		rand.Read(b[:])
-		id := "c-" + hex.EncodeToString(b[:]) + "-" + hash[:8]
-		if _, taken := c.jobs[id]; !taken {
-			return id
-		}
-	}
+	return j.Rec, nil
 }
 
 // Job returns a snapshot of the record.
-func (c *Coordinator) Job(id string) (serve.JobRecord, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[id]
-	if j == nil {
-		return serve.JobRecord{}, serve.ErrUnknownJob
-	}
-	return j.rec, nil
-}
+func (c *Coordinator) Job(id string) (serve.JobRecord, error) { return c.jobs.Job(id) }
 
 // Jobs lists record snapshots, optionally filtered by tenant, in
 // submission order.
-func (c *Coordinator) Jobs(tenant string) []serve.JobRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]serve.JobRecord, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		if tenant == "" || j.rec.Tenant == tenant {
-			out = append(out, j.rec)
-		}
-	}
-	sortRecords(out)
-	return out
-}
-
-func sortRecords(recs []serve.JobRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Seq < recs[j-1].Seq; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
-}
+func (c *Coordinator) Jobs(tenant string) []serve.JobRecord { return c.jobs.Jobs(tenant) }
 
 // Result returns a terminal job's result: from memory when this process
 // saw it finish, from the persistent result cache otherwise.
-func (c *Coordinator) Result(id string) (exec.Result, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	var rec serve.JobRecord
-	var res *exec.Result
-	if j != nil {
-		rec = j.rec
-		res = j.result
-	}
-	c.mu.Unlock()
-	if j == nil {
-		return exec.Result{}, serve.ErrUnknownJob
-	}
-	if !rec.Terminal() {
-		return exec.Result{}, fmt.Errorf("cluster: job %s is %s, no result yet", id, rec.State)
-	}
-	if rec.State == serve.StateCanceled {
-		return exec.Result{}, fmt.Errorf("cluster: job %s was canceled", id)
-	}
-	if res != nil {
-		return *res, nil
-	}
-	if c.cache != nil {
-		if r, ok := c.cache.Get(rec.Hash); ok {
-			r.Key = rec.Job.Key
-			r.Cached = true
-			return r, nil
-		}
-	}
-	return exec.Result{}, fmt.Errorf("cluster: job %s finished but its result left the cache", id)
+func (c *Coordinator) Result(id string) (exec.Result, error) { return c.jobs.Result(id) }
+
+// Wait blocks until the job reaches a terminal state (or ctx ends) and
+// returns the final record.
+func (c *Coordinator) Wait(ctx context.Context, id string) (serve.JobRecord, error) {
+	return c.jobs.Wait(ctx, id)
+}
+
+// SubscribeAfter attaches an event listener to a job. Events are
+// synthesized coordinator-side — state transitions as jobs are claimed,
+// reassigned and finished, progress mirrored from worker polls or the
+// local runner — so a watcher sees a mid-run migration as running ->
+// queued -> running on one stream (serve.Table.SubscribeAfter).
+func (c *Coordinator) SubscribeAfter(id string, after int64) (<-chan serve.Event, func(), error) {
+	return c.jobs.SubscribeAfter(id, after)
 }
 
 // Cancel stops a queued or dispatched job. Queued jobs cancel
@@ -458,17 +361,17 @@ func (c *Coordinator) Result(id string) (exec.Result, error) {
 // dies, whichever comes first).
 func (c *Coordinator) Cancel(id string) error {
 	c.mu.Lock()
-	j := c.jobs[id]
+	j := c.jobs.ByID[id]
 	if j == nil {
 		c.mu.Unlock()
 		return serve.ErrUnknownJob
 	}
-	if j.rec.Terminal() {
+	if j.Rec.Terminal() {
 		c.mu.Unlock()
 		return nil
 	}
 	j.userCanceled = true
-	if j.rec.State == serve.StateQueued {
+	if j.Rec.State == serve.StateQueued {
 		c.finishLocked(j, serve.StateCanceled, "canceled while queued", nil)
 		c.mu.Unlock()
 		return nil
@@ -482,54 +385,25 @@ func (c *Coordinator) Cancel(id string) error {
 	return nil
 }
 
-// Wait blocks until the job reaches a terminal state (or ctx ends) and
-// returns the final record.
-func (c *Coordinator) Wait(ctx context.Context, id string) (serve.JobRecord, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return serve.JobRecord{}, serve.ErrUnknownJob
-	}
-	select {
-	case <-j.done:
-		return c.Job(id)
-	case <-ctx.Done():
-		return serve.JobRecord{}, ctx.Err()
-	}
-}
-
-// persistLocked writes the job's durable state when persistence is on.
-// Callers hold c.mu.
-func (c *Coordinator) persistLocked(j *cjob) {
-	if c.store == nil {
-		return
-	}
-	c.store.putJob(&persistedJob{Rec: j.rec, Req: j.req, Redispatches: j.redispatches})
-}
-
-// finishLocked transitions a job to a terminal state. res may be nil
+// finishLocked makes a job terminal (serve.Table.Finish); res may be nil
 // (canceled / gave-up paths). Callers hold c.mu.
 func (c *Coordinator) finishLocked(j *cjob, state, errMsg string, res *exec.Result) {
-	j.rec.State = state
-	j.rec.Error = errMsg
-	j.rec.FinishedAt = time.Now().UnixMilli()
 	j.workerID = ""
 	j.remoteID = ""
-	if res != nil {
-		j.result = res
-		j.rec.Cycle = res.Cycles
-		j.rec.Attempt = res.Attempts
-		j.rec.Cached = res.Cached
-	}
 	j.snapshot = nil
-	c.persistLocked(j)
-	if c.store != nil {
-		c.store.dropSnap(j.rec.ID)
-	}
-	c.publishStateLocked(j)
-	c.closeSubsLocked(j)
-	close(j.done)
+	c.jobs.Finish(j, state, errMsg, res)
+	c.cond.Broadcast()
+}
+
+// queueLocked returns a job to the queued state, persisted and announced.
+// Callers hold c.mu.
+func (c *Coordinator) queueLocked(j *cjob) {
+	j.Rec.State = serve.StateQueued
+	j.Rec.StartedAt = 0
+	j.workerID = ""
+	j.remoteID = ""
+	c.jobs.Save(j)
+	j.PublishState()
 	c.cond.Broadcast()
 }
 

@@ -83,8 +83,8 @@ func counters(c *Coordinator) (reassigns, resumes, local int64) {
 func snapshotRunningOn(c *Coordinator, workerID string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, j := range c.jobs {
-		if j.workerID == workerID && j.rec.State == serve.StateRunning && len(j.snapshot) > 0 {
+	for _, j := range c.jobs.ByID {
+		if j.workerID == workerID && j.Rec.State == serve.StateRunning && len(j.snapshot) > 0 {
 			return true
 		}
 	}
@@ -508,7 +508,7 @@ func TestCoordinatorDrainResume(t *testing.T) {
 	waitFor(t, "a local checkpoint stashed", func() bool {
 		c1.mu.Lock()
 		defer c1.mu.Unlock()
-		j := c1.jobs[rec.ID]
+		j := c1.jobs.ByID[rec.ID]
 		return j != nil && len(j.snapshot) > 0
 	})
 	c1.Drain()

@@ -31,10 +31,9 @@ func (c *Coordinator) scheduler() {
 			c.mu.Unlock()
 			return
 		}
-		j.rec.State = serve.StateRunning
-		j.rec.StartedAt = time.Now().UnixMilli()
-		j.rec.StartSeq = c.seq
-		c.seq++
+		j.Rec.State = serve.StateRunning
+		j.Rec.StartedAt = time.Now().UnixMilli()
+		j.Rec.StartSeq = c.jobs.NextSeq()
 		var runCtx context.Context
 		if local {
 			j.workerID = localWorker
@@ -45,8 +44,8 @@ func (c *Coordinator) scheduler() {
 			w.inflight++
 			w.dispatched++
 		}
-		c.persistLocked(j)
-		c.publishStateLocked(j)
+		c.jobs.Save(j)
+		j.PublishState()
 		c.wg.Add(1)
 		c.mu.Unlock()
 		if local {
@@ -63,8 +62,8 @@ func (c *Coordinator) scheduler() {
 // Callers hold c.mu.
 func (c *Coordinator) pickLocked() (*cjob, *worker, bool) {
 	var best *cjob
-	for _, j := range c.jobs {
-		if j.rec.State != serve.StateQueued || j.userCanceled {
+	for _, j := range c.jobs.ByID {
+		if j.Rec.State != serve.StateQueued || j.userCanceled {
 			continue
 		}
 		if best == nil || betterPick(j, best) {
@@ -100,10 +99,10 @@ func (c *Coordinator) pickLocked() (*cjob, *worker, bool) {
 }
 
 func betterPick(a, b *cjob) bool {
-	if a.rec.Priority != b.rec.Priority {
-		return a.rec.Priority > b.rec.Priority
+	if a.Rec.Priority != b.Rec.Priority {
+		return a.Rec.Priority > b.Rec.Priority
 	}
-	return a.rec.Seq < b.rec.Seq
+	return a.Rec.Seq < b.Rec.Seq
 }
 
 // runOn drives one job on one worker: submit (with the latest snapshot
@@ -205,10 +204,10 @@ func (c *Coordinator) runOn(j *cjob, w *worker) {
 		}
 
 		c.mu.Lock()
-		if r.Cycle != j.rec.Cycle || r.Attempt != j.rec.Attempt {
-			j.rec.Cycle = r.Cycle
-			j.rec.Attempt = r.Attempt
-			c.publishLocked(j, serve.Event{Type: "progress",
+		if r.Cycle != j.Rec.Cycle || r.Attempt != j.Rec.Attempt {
+			j.Rec.Cycle = r.Cycle
+			j.Rec.Attempt = r.Attempt
+			j.Publish(serve.Event{Type: "progress",
 				Progress: &exec.Progress{Cycle: r.Cycle, Attempt: r.Attempt}})
 		}
 		c.mu.Unlock()
@@ -255,8 +254,8 @@ func (c *Coordinator) runOn(j *cjob, w *worker) {
 func (c *Coordinator) runLocal(j *cjob, runCtx context.Context) {
 	defer c.wg.Done()
 	c.mu.Lock()
-	job := j.rec.Job
-	hash := j.rec.Hash
+	job := j.Rec.Job
+	hash := j.Rec.Hash
 	var resume *exec.Snapshot
 	if len(j.snapshot) > 0 {
 		if snap, err := exec.HandoffSnapshot(j.snapshot, job); err == nil {
@@ -287,9 +286,9 @@ func (c *Coordinator) runLocal(j *cjob, runCtx context.Context) {
 		SegmentCycles: c.opt.SegmentCycles,
 		Progress: func(p exec.Progress) {
 			c.mu.Lock()
-			j.rec.Cycle = p.Cycle
-			j.rec.Attempt = p.Attempt
-			c.publishLocked(j, serve.Event{Type: "progress", Progress: &p})
+			j.Rec.Cycle = p.Cycle
+			j.Rec.Attempt = p.Attempt
+			j.Publish(serve.Event{Type: "progress", Progress: &p})
 			c.mu.Unlock()
 		},
 		CheckpointEvery: c.opt.CheckpointEvery,
@@ -310,11 +309,7 @@ func (c *Coordinator) runLocal(j *cjob, runCtx context.Context) {
 		}
 		// Coordinator drain: the runner just checkpointed (stashed above);
 		// park the job queued on disk for the next process.
-		j.rec.State = serve.StateQueued
-		j.rec.StartedAt = 0
-		j.workerID = ""
-		c.persistLocked(j)
-		c.publishStateLocked(j)
+		c.queueLocked(j)
 		return
 	}
 	c.mu.Lock()
@@ -327,10 +322,10 @@ func (c *Coordinator) runLocal(j *cjob, runCtx context.Context) {
 // the coordinator's own result cache so restarts keep results servable.
 func (c *Coordinator) finishRun(j *cjob, w *worker, res exec.Result) {
 	if c.cache != nil {
-		if _, ok := c.cache.Get(j.rec.Hash); !ok {
+		if _, ok := c.cache.Get(j.Rec.Hash); !ok {
 			put := res
 			put.Cached = false
-			c.cache.Put(j.rec.Hash, put)
+			c.cache.Put(j.Rec.Hash, put)
 		}
 	}
 	c.mu.Lock()
@@ -373,13 +368,7 @@ func (c *Coordinator) requeue(j *cjob, w *worker, why string) {
 			fmt.Sprintf("gave up after %d dispatch attempts (last: %s)", j.redispatches, why), nil)
 		return
 	}
-	j.rec.State = serve.StateQueued
-	j.rec.StartedAt = 0
-	j.workerID = ""
-	j.remoteID = ""
-	c.persistLocked(j)
-	c.publishStateLocked(j)
-	c.cond.Broadcast()
+	c.queueLocked(j)
 }
 
 // requeueUncharged returns a job whose dispatch never reached its worker:
@@ -395,13 +384,7 @@ func (c *Coordinator) requeueUncharged(j *cjob, w *worker) {
 		c.finishLocked(j, serve.StateCanceled, "canceled", nil)
 		return
 	}
-	j.rec.State = serve.StateQueued
-	j.rec.StartedAt = 0
-	j.workerID = ""
-	j.remoteID = ""
-	c.persistLocked(j)
-	c.publishStateLocked(j)
-	c.cond.Broadcast()
+	c.queueLocked(j)
 }
 
 // parkForShutdown is the drain path for a dispatched job: pull one final
@@ -426,12 +409,7 @@ func (c *Coordinator) parkForShutdown(j *cjob, w *worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.releaseLocked(j, w)
-	j.rec.State = serve.StateQueued
-	j.rec.StartedAt = 0
-	j.workerID = ""
-	j.remoteID = ""
-	c.persistLocked(j)
-	c.publishStateLocked(j)
+	c.queueLocked(j)
 }
 
 // stashSnapshot verifies and retains checkpoint bytes as the job's
@@ -439,7 +417,7 @@ func (c *Coordinator) parkForShutdown(j *cjob, w *worker) {
 // durable.
 func (c *Coordinator) stashSnapshot(j *cjob, b []byte) {
 	c.mu.Lock()
-	job := j.rec.Job
+	job := j.Rec.Job
 	c.mu.Unlock()
 	if _, err := exec.HandoffSnapshot(b, job); err != nil {
 		return
@@ -448,6 +426,6 @@ func (c *Coordinator) stashSnapshot(j *cjob, b []byte) {
 	j.snapshot = b
 	c.mu.Unlock()
 	if c.store != nil {
-		c.store.putSnap(j.rec.ID, b)
+		c.store.PutSnapshot(j.Rec.ID, b)
 	}
 }

@@ -230,8 +230,8 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{Reassigns: c.nReassigns, Resumes: c.nResumes, LocalRuns: c.nLocal, DispatchFails: c.nDispatchFails}
-	for _, j := range c.jobs {
-		switch j.rec.State {
+	for _, j := range c.jobs.ByID {
+		switch j.Rec.State {
 		case serve.StateQueued:
 			st.Queued++
 		case serve.StateRunning:

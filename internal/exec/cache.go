@@ -2,6 +2,7 @@ package exec
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,26 +62,34 @@ func (c *Cache) Get(hash string) (Result, bool) {
 // next run is strictly a performance matter.
 func (c *Cache) Put(hash string, r Result) {
 	b, err := json.Marshal(r)
-	if err != nil {
-		c.writeFailures.Add(1)
-		return
+	if err == nil {
+		err = WriteFileAtomic(c.path(hash), b)
 	}
-	tmp, err := os.CreateTemp(c.dir, hash+".tmp*")
 	if err != nil {
 		c.writeFailures.Add(1)
-		return
+	}
+}
+
+// WriteFileAtomic writes b to path through a temp file in the same
+// directory and a rename, so a crash leaves the previous file or the new
+// one, never a torn one. Every on-disk record, checkpoint and cache entry
+// in the repository is written through it.
+func WriteFileAtomic(path string, b []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
 	}
 	_, werr := tmp.Write(b)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		c.writeFailures.Add(1)
-		return
+		return fmt.Errorf("write failed: %w", errors.Join(werr, cerr))
 	}
-	if err := os.Rename(tmp.Name(), c.path(hash)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		c.writeFailures.Add(1)
+		return err
 	}
+	return nil
 }
 
 // Stats reports cache traffic since Open.

@@ -123,26 +123,15 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	return s, nil
 }
 
-// WriteSnapshot stores the snapshot at path atomically (temp file +
-// rename), so a crash mid-write leaves either the previous checkpoint or
-// none — never a torn file a restore could half-trust.
+// WriteSnapshot stores the snapshot at path atomically (WriteFileAtomic),
+// so a crash mid-write leaves either the previous checkpoint or none —
+// never a torn file a restore could half-trust.
 func WriteSnapshot(path string, s Snapshot) error {
 	b, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt*")
-	if err != nil {
-		return fmt.Errorf("exec: snapshot: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exec: snapshot write: %w", errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, b); err != nil {
 		return fmt.Errorf("exec: snapshot: %w", err)
 	}
 	return nil
@@ -182,13 +171,4 @@ func ReadSnapshot(path string) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return DecodeSnapshot(b)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

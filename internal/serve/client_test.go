@@ -275,7 +275,7 @@ func TestKillLeavesCrashState(t *testing.T) {
 	})
 	srv1.Kill()
 
-	recs, err := (&store{dir: dir}).loadJobs()
+	recs, err := LoadJobs(&Store{dir: dir}, func(r *JobRecord) string { return r.ID })
 	if err != nil {
 		t.Fatalf("load records: %v", err)
 	}

@@ -3,37 +3,100 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
+
+	"innetcc/internal/exec"
 )
 
-// Handler returns the server's HTTP API:
+// Frontend is the job API both front ends — a Server and the cluster
+// coordinator — serve over HTTP through JobMux.
+type Frontend interface {
+	Submit(SubmitRequest) (JobRecord, error)
+	Job(id string) (JobRecord, error)
+	Jobs(tenant string) []JobRecord
+	Result(id string) (exec.Result, error)
+	Cancel(id string) error
+	SubscribeAfter(id string, after int64) (<-chan Event, func(), error)
+}
+
+// JobMux returns a mux serving the job API both front ends share:
 //
 //	POST /v1/jobs                 submit (SubmitRequest -> JobRecord)
 //	GET  /v1/jobs                 list records (?tenant= filters)
 //	GET  /v1/jobs/{id}            one record
 //	GET  /v1/jobs/{id}/result     terminal result payload
 //	POST /v1/jobs/{id}/cancel     cancel queued/running job
-//	GET  /v1/jobs/{id}/events     server-sent events progress stream
-//	GET  /v1/jobs/{id}/snapshot   latest checkpoint bytes (hand-off export)
-//	GET  /v1/stats                queue/tenant/cache accounting
+//	GET  /v1/jobs/{id}/events     server-sent events (Last-Event-ID resume)
+//	GET  /v1/stats                stats()
 //	GET  /healthz                 liveness
-func (s *Server) Handler() http.Handler {
+//
+// busy is the admission error a submission is refused with when the front
+// end is full; it is answered 429 with a Retry-After header.
+func JobMux(f Frontend, busy error, stats func() any) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var req SubmitRequest
+		if !DecodeRequest(w, r, &req) {
+			return
+		}
+		rec, err := f.Submit(req)
+		switch {
+		case err == nil:
+			WriteJSON(w, http.StatusAccepted, rec)
+		case errors.Is(err, busy):
+			writeErr(w, err, busy)
+		default:
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		}
+	})
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, f.Jobs(r.URL.Query().Get("tenant")))
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		rec, err := f.Job(r.PathValue("id"))
+		if err != nil {
+			writeErr(w, err, busy)
+			return
+		}
+		WriteJSON(w, http.StatusOK, rec)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		res, err := f.Result(r.PathValue("id"))
+		switch {
+		case errors.Is(err, ErrUnknownJob):
+			writeErr(w, err, busy)
+		case err != nil:
+			// Known job without a servable result: not ready or canceled.
+			WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		default:
+			WriteJSON(w, http.StatusOK, res)
+		}
+	})
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
+		if err := f.Cancel(r.PathValue("id")); err != nil {
+			writeErr(w, err, busy)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		serveEvents(f, w, r)
+	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, stats())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
+	return mux
+}
+
+// Handler returns the server's HTTP API: the shared job API (JobMux) plus
+//
+//	GET  /v1/jobs/{id}/snapshot   latest checkpoint bytes (hand-off export)
+func (s *Server) Handler() http.Handler {
+	mux := JobMux(s, ErrQuotaExceeded, func() any { return s.Stats() })
+	mux.HandleFunc("GET /v1/jobs/{id}/snapshot", s.handleSnapshot)
 	return mux
 }
 
@@ -56,128 +119,31 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
+	WriteJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
 	return false
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers the request with v as a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, err error) {
+// writeErr answers err with its status: 404 for an unknown job or missing
+// snapshot, 429 + Retry-After for the busy admission error, 500 otherwise.
+func writeErr(w http.ResponseWriter, err, busy error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrUnknownJob), errors.Is(err, ErrNoSnapshot):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrQuotaExceeded):
+	case busy != nil && errors.Is(err, busy):
 		code = http.StatusTooManyRequests
-		// Quota pressure is transient: tell well-behaved clients when to
-		// come back instead of letting them hammer the endpoint.
+		// Admission pressure is transient: tell well-behaved clients when
+		// to come back instead of letting them hammer the endpoint.
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !DecodeRequest(w, r, &req) {
-		return
-	}
-	rec, err := s.Submit(req)
-	if err != nil {
-		if errors.Is(err, ErrQuotaExceeded) {
-			writeErr(w, err)
-		} else {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, rec)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs(r.URL.Query().Get("tenant")))
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.Job(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	res, err := s.Result(id)
-	if err != nil {
-		if errors.Is(err, ErrUnknownJob) {
-			writeErr(w, err)
-			return
-		}
-		// Known job without a servable result: not ready or canceled.
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := s.Cancel(r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
-}
-
-// handleEvents streams the job's Event feed as server-sent events until the
-// job reaches a terminal state or the client disconnects. A reconnecting
-// client sends the standard Last-Event-ID header and the stream resumes
-// after that event (replayed from the server's retained ring) instead of
-// restarting or silently missing the terminal transition.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	after := int64(-1)
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
-			after = n
-		}
-	}
-	ch, unsub, err := s.SubscribeAfter(r.PathValue("id"), after)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	defer unsub()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, b); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // handleSnapshot exports the job's latest checkpoint bytes for hand-off to
@@ -185,7 +151,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	b, err := s.SnapshotBytes(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, err)
+		writeErr(w, err, nil)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -58,7 +56,7 @@ var ErrNoSnapshot = errors.New("serve: no snapshot")
 // over the same methods the tests call directly.
 type Server struct {
 	opt   Options
-	store *store
+	store *Store
 	cache *exec.Cache
 
 	baseCtx    context.Context
@@ -67,11 +65,10 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	jobs     map[string]*jobState
+	jobs     *Table[*jobState]
 	tenants  map[string]*tenantState
 	running  map[string]int // content hash -> running count (dedupe guard)
 	draining bool
-	seq      int64
 
 	// killed simulates a crash (Server.Kill): once set, nothing more is
 	// written to the store — no final checkpoints, no record transitions —
@@ -79,20 +76,12 @@ type Server struct {
 	killed atomic.Bool
 }
 
-// jobState pairs the persistent record with the in-process lifecycle:
-// cancellation, the last result, the progress subscribers, and the
-// retained event ring reconnecting SSE clients replay from.
+// jobState adds run control to the shared per-job lifecycle.
 type jobState struct {
-	rec          JobRecord
+	Entry
 	runCtx       context.Context    // set while running
 	cancel       context.CancelFunc // non-nil while running
 	userCanceled bool
-	result       *exec.Result // set in terminal states (also cached on disk)
-	subs         []chan Event
-	done         chan struct{} // closed on terminal state
-
-	lastEv int64   // last assigned event ID (job-local, monotonic)
-	hist   []Event // retained ring for Last-Event-ID replay
 }
 
 // tenantState is one tenant's live accounting.
@@ -116,11 +105,11 @@ func New(opt Options) (*Server, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	st, err := openStore(opt.DataDir)
+	st, err := OpenStore(opt.DataDir, "ckpt")
 	if err != nil {
 		return nil, err
 	}
-	cache, err := exec.OpenCache(st.cacheDir())
+	cache, err := exec.OpenCache(st.CacheDir())
 	if err != nil {
 		return nil, err
 	}
@@ -131,36 +120,28 @@ func New(opt Options) (*Server, error) {
 		cache:      cache,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*jobState),
 		tenants:    make(map[string]*tenantState),
 		running:    make(map[string]int),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.jobs = NewTable(&s.mu, "j-", st, func(js *jobState) any { return &js.Rec }, cache)
 
-	recs, err := st.loadJobs()
+	recs, err := LoadJobs(st, func(r *JobRecord) string { return r.ID })
 	if err != nil {
 		cancel()
 		return nil, err
 	}
 	for _, rec := range recs {
-		js := &jobState{rec: *rec, done: make(chan struct{})}
-		if js.rec.Terminal() {
-			close(js.done)
-		} else {
-			// The previous process died (or drained) with this job
-			// pending; requeue it. A running job's checkpoint, when one
-			// was written, makes the requeue a resume.
-			js.rec.State = StateQueued
-			js.rec.StartedAt = 0
-			if err := st.putJob(&js.rec); err != nil {
-				cancel()
-				return nil, err
-			}
-			s.tenant(js.rec.Tenant).queued++
+		// A job the previous process died (or drained) with is requeued;
+		// a running job's checkpoint, when one was written, makes the
+		// requeue a resume.
+		js := &jobState{Entry: Entry{Rec: *rec}}
+		if err := s.jobs.Restore(js); err != nil {
+			cancel()
+			return nil, err
 		}
-		s.jobs[js.rec.ID] = js
-		if js.rec.Seq >= s.seq {
-			s.seq = js.rec.Seq + 1
+		if !js.Rec.Terminal() {
+			s.tenant(js.Rec.Tenant).queued++
 		}
 	}
 
@@ -284,18 +265,36 @@ func (r SubmitRequest) BuildJob() (exec.Job, error) {
 	}, nil
 }
 
-// Submit validates the request against the tenant's quota, persists the
-// job record and enqueues it. The returned record is a snapshot.
-func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
-	if req.Tenant == "" {
-		req.Tenant = "default"
+// Prepare is the first half of the submission path both front ends
+// share: it defaults the tenant, resolves the job and verifies that a
+// riding hand-off snapshot belongs to it — accepting a forged or stale
+// one would silently run from scratch while the submitter believes work
+// was preserved. Table.Add is the second half.
+func (r *SubmitRequest) Prepare() (exec.Job, error) {
+	if r.Tenant == "" {
+		r.Tenant = "default"
 	}
-	job, err := req.BuildJob()
+	job, err := r.BuildJob()
+	if err != nil {
+		return exec.Job{}, err
+	}
+	if len(r.Snapshot) > 0 {
+		if _, err := exec.HandoffSnapshot(r.Snapshot, job); err != nil {
+			return exec.Job{}, fmt.Errorf("serve: hand-off snapshot: %w", err)
+		}
+	}
+	return job, nil
+}
+
+// Submit validates the request against the tenant's quota, persists the
+// job record (and stages a hand-off snapshot as the job's own checkpoint,
+// so the normal resume path picks it up) and enqueues it. The returned
+// record is a snapshot.
+func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
+	job, err := req.Prepare()
 	if err != nil {
 		return JobRecord{}, err
 	}
-	hash := job.Hash()
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -306,127 +305,53 @@ func (s *Server) Submit(req SubmitRequest) (JobRecord, error) {
 		return JobRecord{}, fmt.Errorf("%w: tenant %s has %d jobs pending (max %d)",
 			ErrQuotaExceeded, req.Tenant, t.queued+t.running, t.quota.MaxQueued)
 	}
-	js := &jobState{
-		rec: JobRecord{
-			ID:          s.newIDLocked(hash),
-			Tenant:      req.Tenant,
-			Priority:    req.Priority,
-			State:       StateQueued,
-			Hash:        hash,
-			SubmittedAt: time.Now().UnixMilli(),
-			Seq:         s.seq,
-			Job:         job,
-		},
-		done: make(chan struct{}),
-	}
-	s.seq++
-	if len(req.Snapshot) > 0 {
-		// Checkpoint hand-off: stage the migrated snapshot as this job's
-		// own checkpoint so the normal resume path picks it up. A snapshot
-		// that does not decode or belongs to a different spec is rejected
-		// here — accepting it would silently run from scratch while the
-		// submitter believes work was preserved.
-		if _, err := exec.HandoffSnapshot(req.Snapshot, job); err != nil {
-			return JobRecord{}, fmt.Errorf("serve: hand-off snapshot: %w", err)
-		}
-		if err := s.store.putSnapshotBytes(js.rec.ID, req.Snapshot); err != nil {
-			return JobRecord{}, err
-		}
-	}
-	if err := s.store.putJob(&js.rec); err != nil {
+	js := &jobState{}
+	if err := s.jobs.Add(js, req, job); err != nil {
 		return JobRecord{}, err
 	}
-	s.jobs[js.rec.ID] = js
 	t.queued++
 	s.cond.Broadcast()
-	return js.rec, nil
-}
-
-// newIDLocked generates a unique job ID: random prefix plus the first
-// bytes of the content hash for human correlation.
-func (s *Server) newIDLocked(hash string) string {
-	for {
-		var b [6]byte
-		rand.Read(b[:])
-		id := "j-" + hex.EncodeToString(b[:]) + "-" + hash[:8]
-		if _, taken := s.jobs[id]; !taken {
-			return id
-		}
-	}
+	return js.Rec, nil
 }
 
 // Job returns a snapshot of the record.
-func (s *Server) Job(id string) (JobRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js := s.jobs[id]
-	if js == nil {
-		return JobRecord{}, ErrUnknownJob
-	}
-	return js.rec, nil
-}
+func (s *Server) Job(id string) (JobRecord, error) { return s.jobs.Job(id) }
 
 // Jobs lists record snapshots, optionally filtered by tenant, in
 // submission order.
-func (s *Server) Jobs(tenant string) []JobRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobRecord, 0, len(s.jobs))
-	for _, js := range s.jobs {
-		if tenant == "" || js.rec.Tenant == tenant {
-			out = append(out, js.rec)
-		}
-	}
-	sortRecords(out)
-	return out
+func (s *Server) Jobs(tenant string) []JobRecord { return s.jobs.Jobs(tenant) }
+
+// Result returns a done or failed job's result: from memory when the run
+// happened in this process, from the shared result cache otherwise.
+func (s *Server) Result(id string) (exec.Result, error) { return s.jobs.Result(id) }
+
+// Wait blocks until the job reaches a terminal state (or ctx ends) and
+// returns the final record.
+func (s *Server) Wait(ctx context.Context, id string) (JobRecord, error) {
+	return s.jobs.Wait(ctx, id)
 }
 
-// Result returns the job's result. Only terminal done/failed jobs have
-// one; it is served from memory when the run happened in this process,
-// from the shared result cache otherwise.
-func (s *Server) Result(id string) (exec.Result, error) {
-	s.mu.Lock()
-	js := s.jobs[id]
-	if js == nil {
-		s.mu.Unlock()
-		return exec.Result{}, ErrUnknownJob
-	}
-	rec := js.rec
-	res := js.result
-	s.mu.Unlock()
-	if !rec.Terminal() {
-		return exec.Result{}, fmt.Errorf("serve: job %s is %s, no result yet", id, rec.State)
-	}
-	if rec.State == StateCanceled {
-		return exec.Result{}, fmt.Errorf("serve: job %s was canceled", id)
-	}
-	if res != nil {
-		return *res, nil
-	}
-	if r, ok := s.cache.Get(rec.Hash); ok {
-		r.Key = rec.Job.Key
-		r.Cached = true
-		return r, nil
-	}
-	return exec.Result{}, fmt.Errorf("serve: job %s finished but its result left the cache", id)
+// SubscribeAfter attaches an event listener to the job (Table.SubscribeAfter).
+func (s *Server) SubscribeAfter(id string, after int64) (<-chan Event, func(), error) {
+	return s.jobs.SubscribeAfter(id, after)
 }
 
 // Cancel stops a queued or running job. Queued jobs cancel immediately;
 // running jobs stop at the next segment boundary.
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
-	js := s.jobs[id]
+	js := s.jobs.ByID[id]
 	if js == nil {
 		s.mu.Unlock()
 		return ErrUnknownJob
 	}
-	if js.rec.Terminal() {
+	if js.Rec.Terminal() {
 		s.mu.Unlock()
 		return nil
 	}
 	js.userCanceled = true
-	if js.rec.State == StateQueued {
-		s.finishLocked(js, StateCanceled, "canceled while queued")
+	if js.Rec.State == StateQueued {
+		s.finishLocked(js, StateCanceled, "canceled while queued", nil)
 		s.mu.Unlock()
 		return nil
 	}
@@ -436,23 +361,6 @@ func (s *Server) Cancel(id string) error {
 		cancel()
 	}
 	return nil
-}
-
-// Wait blocks until the job reaches a terminal state (or ctx ends) and
-// returns the final record.
-func (s *Server) Wait(ctx context.Context, id string) (JobRecord, error) {
-	s.mu.Lock()
-	js := s.jobs[id]
-	s.mu.Unlock()
-	if js == nil {
-		return JobRecord{}, ErrUnknownJob
-	}
-	select {
-	case <-js.done:
-		return s.Job(id)
-	case <-ctx.Done():
-		return JobRecord{}, ctx.Err()
-	}
 }
 
 // TenantStats is one tenant's live accounting snapshot.
@@ -483,8 +391,8 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{Tenants: make(map[string]TenantStats, len(s.tenants))}
-	for _, js := range s.jobs {
-		switch js.rec.State {
+	for _, js := range s.jobs.ByID {
+		switch js.Rec.State {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
@@ -514,16 +422,16 @@ func (s *Server) Stats() Stats {
 // them to another worker unmodified.
 func (s *Server) SnapshotBytes(id string) ([]byte, error) {
 	s.mu.Lock()
-	js := s.jobs[id]
+	js := s.jobs.ByID[id]
 	var rec JobRecord
 	if js != nil {
-		rec = js.rec
+		rec = js.Rec
 	}
 	s.mu.Unlock()
 	if js == nil {
 		return nil, ErrUnknownJob
 	}
-	b, err := s.store.snapshotBytes(rec.ID)
+	b, err := s.store.SnapshotBytes(rec.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -605,12 +513,12 @@ func (s *Server) next() *jobState {
 func (s *Server) pickLocked() *jobState {
 	var best *jobState
 	var bestT *tenantState
-	for _, js := range s.jobs {
-		if js.rec.State != StateQueued || js.userCanceled {
+	for _, js := range s.jobs.ByID {
+		if js.Rec.State != StateQueued || js.userCanceled {
 			continue
 		}
-		t := s.tenant(js.rec.Tenant)
-		if t.running >= t.quota.maxRunning() || s.running[js.rec.Hash] > 0 {
+		t := s.tenant(js.Rec.Tenant)
+		if t.running >= t.quota.maxRunning() || s.running[js.Rec.Hash] > 0 {
 			continue
 		}
 		if best == nil || betterPick(js, t, best, bestT) {
@@ -621,39 +529,38 @@ func (s *Server) pickLocked() *jobState {
 }
 
 func betterPick(a *jobState, at *tenantState, b *jobState, bt *tenantState) bool {
-	if a.rec.Priority != b.rec.Priority {
-		return a.rec.Priority > b.rec.Priority
+	if a.Rec.Priority != b.Rec.Priority {
+		return a.Rec.Priority > b.Rec.Priority
 	}
 	if at.lastSched != bt.lastSched {
 		return at.lastSched < bt.lastSched
 	}
-	return a.rec.Seq < b.rec.Seq
+	return a.Rec.Seq < b.Rec.Seq
 }
 
 // startLocked transitions a picked job to running.
 func (s *Server) startLocked(js *jobState) {
-	t := s.tenant(js.rec.Tenant)
+	t := s.tenant(js.Rec.Tenant)
 	t.queued--
 	t.running++
 	t.started++
 	if t.running > t.peak {
 		t.peak = t.running
 	}
-	t.lastSched = s.seq
-	js.rec.StartSeq = s.seq
-	s.seq++
-	s.running[js.rec.Hash]++
-	js.rec.State = StateRunning
-	js.rec.StartedAt = time.Now().UnixMilli()
+	js.Rec.StartSeq = s.jobs.NextSeq()
+	t.lastSched = js.Rec.StartSeq
+	s.running[js.Rec.Hash]++
+	js.Rec.State = StateRunning
+	js.Rec.StartedAt = time.Now().UnixMilli()
 	js.runCtx, js.cancel = context.WithCancel(s.baseCtx)
-	s.store.putJob(&js.rec)
-	s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
+	s.jobs.Save(js)
+	js.PublishState()
 }
 
 // runJob drives one claimed job to a terminal state (or back to queued on
 // drain).
 func (s *Server) runJob(js *jobState) {
-	rec := func() JobRecord { s.mu.Lock(); defer s.mu.Unlock(); return js.rec }()
+	rec := func() JobRecord { s.mu.Lock(); defer s.mu.Unlock(); return js.Rec }()
 
 	// Result-cache fast path: an identical spec already simulated — by a
 	// previous job, another tenant, or a direct batch run.
@@ -670,9 +577,9 @@ func (s *Server) runJob(js *jobState) {
 		SegmentCycles: s.opt.SegmentCycles,
 		Progress: func(p exec.Progress) {
 			s.mu.Lock()
-			js.rec.Cycle = p.Cycle
-			js.rec.Attempt = p.Attempt
-			s.publishLocked(js, Event{Type: "progress", Progress: &p})
+			js.Rec.Cycle = p.Cycle
+			js.Rec.Attempt = p.Attempt
+			js.Publish(Event{Type: "progress", Progress: &p})
 			s.mu.Unlock()
 		},
 		CheckpointEvery: s.opt.CheckpointEvery,
@@ -680,7 +587,7 @@ func (s *Server) runJob(js *jobState) {
 			if s.killed.Load() {
 				return // crash simulation: kill -9 writes no final checkpoint
 			}
-			exec.WriteSnapshot(s.store.ckptPath(rec.ID), snap)
+			exec.WriteSnapshot(s.store.SnapshotPath(rec.ID), snap)
 		},
 		Resume: resume,
 	})
@@ -693,18 +600,16 @@ func (s *Server) runJob(js *jobState) {
 			return
 		}
 		s.mu.Lock()
+		s.releaseRunLocked(js)
 		if js.userCanceled {
-			s.store.dropSnapshot(rec.ID)
-			s.releaseRunLocked(js)
-			s.finishLocked(js, StateCanceled, res.Err)
+			s.finishLocked(js, StateCanceled, res.Err, nil)
 		} else {
 			// Drain: the final checkpoint was just written; requeue so the
 			// next process resumes from it.
-			s.releaseRunLocked(js)
-			js.rec.State = StateQueued
-			js.rec.StartedAt = 0
-			s.store.putJob(&js.rec)
-			s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
+			js.Rec.State = StateQueued
+			js.Rec.StartedAt = 0
+			s.jobs.Save(js)
+			js.PublishState()
 		}
 		s.mu.Unlock()
 		return
@@ -721,17 +626,12 @@ func (s *Server) runJob(js *jobState) {
 func (s *Server) finishRun(js *jobState, res exec.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.store.dropSnapshot(js.rec.ID)
 	s.releaseRunLocked(js)
-	js.result = &res
-	js.rec.Cycle = res.Cycles
-	js.rec.Attempt = res.Attempts
-	js.rec.Cached = res.Cached
 	state := StateDone
 	if res.Failed() {
 		state = StateFailed
 	}
-	s.finishLocked(js, state, res.Err)
+	s.finishLocked(js, state, res.Err, &res)
 }
 
 // releaseRunLocked returns a running job's quota and dedupe claims.
@@ -740,36 +640,20 @@ func (s *Server) releaseRunLocked(js *jobState) {
 		js.cancel()
 		js.cancel = nil
 	}
-	t := s.tenant(js.rec.Tenant)
+	t := s.tenant(js.Rec.Tenant)
 	t.running--
-	if s.running[js.rec.Hash]--; s.running[js.rec.Hash] <= 0 {
-		delete(s.running, js.rec.Hash)
+	if s.running[js.Rec.Hash]--; s.running[js.Rec.Hash] <= 0 {
+		delete(s.running, js.Rec.Hash)
 	}
 	s.cond.Broadcast()
 }
 
-// finishLocked transitions to a terminal state, persists, publishes, and
-// wakes waiters. For queued jobs it also returns the queue slot.
-func (s *Server) finishLocked(js *jobState, state, errMsg string) {
-	if js.rec.State == StateQueued {
-		s.tenant(js.rec.Tenant).queued--
+// finishLocked makes the job terminal (Table.Finish); a queued job also
+// returns its queue slot.
+func (s *Server) finishLocked(js *jobState, state, errMsg string, res *exec.Result) {
+	if js.Rec.State == StateQueued {
+		s.tenant(js.Rec.Tenant).queued--
 		s.cond.Broadcast()
 	}
-	js.rec.State = state
-	js.rec.Error = errMsg
-	js.rec.FinishedAt = time.Now().UnixMilli()
-	s.store.putJob(&js.rec)
-	s.publishLocked(js, Event{Type: "state", Record: recPtr(js.rec)})
-	s.closeSubsLocked(js)
-	close(js.done)
-}
-
-func recPtr(r JobRecord) *JobRecord { return &r }
-
-func sortRecords(recs []JobRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Seq < recs[j-1].Seq; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+	s.jobs.Finish(js, state, errMsg, res)
 }

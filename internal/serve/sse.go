@@ -1,6 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+
 	"innetcc/internal/exec"
 )
 
@@ -9,7 +14,9 @@ import (
 // ticks carry the runner's Progress observation. ID is the job-local event
 // sequence number (1-based, monotonic): SSE clients echo the last ID they
 // saw in the Last-Event-ID header on reconnect and the server replays what
-// they missed from its retained ring.
+// they missed from its retained ring. Event 1 of a job is its queued state
+// at submission, so a reconnect from ID 0 replays its whole life in this
+// process.
 type Event struct {
 	ID       int64          `json:"id,omitempty"`
 	Type     string         `json:"type"` // "state" | "progress"
@@ -25,29 +32,23 @@ type Event struct {
 // transition.
 const maxEventHistory = 256
 
-// Subscribe attaches a progress listener to the job. The returned channel
-// first delivers a synthetic state event with the current record, then
-// every subsequent event, and is closed when the job reaches a terminal
-// state (the closing state event is delivered first). The unsubscribe
-// function is idempotent and safe after close.
-func (s *Server) Subscribe(id string) (<-chan Event, func(), error) {
-	return s.SubscribeAfter(id, -1)
-}
-
 // SubscribeAfter attaches a listener that resumes a dropped stream: events
 // with IDs greater than after are replayed from the retained ring before
 // live delivery begins. after < 0 requests a fresh subscription (synthetic
 // current-state event first); an after older than the ring's tail falls
 // back to the same synthetic snapshot, so a lagging client always
-// converges on the current record.
-func (s *Server) SubscribeAfter(id string, after int64) (<-chan Event, func(), error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js := s.jobs[id]
-	if js == nil {
+// converges on the current record. The channel is closed when the job
+// reaches a terminal state (the closing state event is delivered first);
+// the unsubscribe function is idempotent and safe after close.
+func (t *Table[J]) SubscribeAfter(id string, after int64) (<-chan Event, func(), error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	j, ok := t.ByID[id]
+	if !ok {
 		return nil, nil, ErrUnknownJob
 	}
-	replay := js.replayLocked(after)
+	e := j.entry()
+	replay := e.replay(after)
 	// Buffered so a stalled consumer drops events instead of blocking the
 	// simulation worker; 64 comfortably covers state transitions plus a
 	// burst of progress ticks, and the replay backlog rides on top.
@@ -55,17 +56,17 @@ func (s *Server) SubscribeAfter(id string, after int64) (<-chan Event, func(), e
 	for _, ev := range replay {
 		ch <- ev
 	}
-	if js.rec.Terminal() {
+	if e.Rec.Terminal() {
 		close(ch)
 		return ch, func() {}, nil
 	}
-	js.subs = append(js.subs, ch)
+	e.subs = append(e.subs, ch)
 	unsub := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, c := range js.subs {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for i, c := range e.subs {
 			if c == ch {
-				js.subs = append(js.subs[:i], js.subs[i+1:]...)
+				e.subs = append(e.subs[:i], e.subs[i+1:]...)
 				close(ch)
 				return
 			}
@@ -74,23 +75,23 @@ func (s *Server) SubscribeAfter(id string, after int64) (<-chan Event, func(), e
 	return ch, unsub, nil
 }
 
-// replayLocked computes the catch-up backlog for a subscriber that last saw
-// event ID after. Callers hold s.mu.
-func (js *jobState) replayLocked(after int64) []Event {
-	if after >= js.lastEv {
+// replay computes the catch-up backlog for a subscriber that last saw
+// event ID after.
+func (e *Entry) replay(after int64) []Event {
+	if after >= e.lastEv {
 		// Fully caught up (or claiming to be from the future): nothing to
 		// replay; a fresh terminal job still needs its closing event, which
 		// the synthetic snapshot below covers only when after < lastEv.
-		if after > js.lastEv {
+		if after > e.lastEv {
 			after = -1 // bogus ID from another job's stream: resync
 		} else {
 			return nil
 		}
 	}
-	if after >= 0 && len(js.hist) > 0 && js.hist[0].ID <= after+1 {
+	if after >= 0 && len(e.hist) > 0 && e.hist[0].ID <= after+1 {
 		// The ring still holds everything after the cursor: exact replay.
-		out := make([]Event, 0, len(js.hist))
-		for _, ev := range js.hist {
+		out := make([]Event, 0, len(e.hist))
+		for _, ev := range e.hist {
 			if ev.ID > after {
 				out = append(out, ev)
 			}
@@ -100,26 +101,33 @@ func (js *jobState) replayLocked(after int64) []Event {
 	// Fresh subscription, or the cursor fell off the ring: one synthetic
 	// state event carrying the current record (stamped with the latest ID
 	// so a further reconnect resumes exactly).
-	return []Event{{ID: js.lastEv, Type: "state", Record: recPtr(js.rec)}}
+	rec := e.Rec
+	return []Event{{ID: e.lastEv, Type: "state", Record: &rec}}
 }
 
-// publishLocked assigns the event its job-local sequence ID, retains it in
-// the replay ring and fans it out to the job's subscribers. Callers hold
-// s.mu. Slow subscribers lose events (non-blocking send): progress is a
-// telemetry stream, not a transactional log. The exception is a terminal
-// state event — Subscribe promises it precedes the channel close — so a
-// full buffer has its oldest queued telemetry evicted to make room.
-// Eviction is safe: senders serialize on s.mu, so after freeing a slot
-// the send cannot find the buffer full again.
-func (s *Server) publishLocked(js *jobState, ev Event) {
-	js.lastEv++
-	ev.ID = js.lastEv
-	js.hist = append(js.hist, ev)
-	if len(js.hist) > maxEventHistory {
-		js.hist = js.hist[len(js.hist)-maxEventHistory:]
+// PublishState publishes a state event carrying the current record.
+func (e *Entry) PublishState() {
+	rec := e.Rec
+	e.Publish(Event{Type: "state", Record: &rec})
+}
+
+// Publish assigns the event its job-local sequence ID, retains it in the
+// replay ring and fans it out to the job's subscribers. Slow subscribers
+// lose events (non-blocking send): progress is a telemetry stream, not a
+// transactional log. The exception is a terminal state event — a
+// subscription promises it precedes the channel close — so a full buffer
+// has its oldest queued telemetry evicted to make room. Eviction is safe:
+// senders serialize on the table's mutex, so after freeing a slot the
+// send cannot find the buffer full again.
+func (e *Entry) Publish(ev Event) {
+	e.lastEv++
+	ev.ID = e.lastEv
+	e.hist = append(e.hist, ev)
+	if len(e.hist) > maxEventHistory {
+		e.hist = e.hist[len(e.hist)-maxEventHistory:]
 	}
 	terminal := ev.Type == "state" && ev.Record != nil && ev.Record.Terminal()
-	for _, ch := range js.subs {
+	for _, ch := range e.subs {
 		select {
 		case ch <- ev:
 		default:
@@ -137,10 +145,49 @@ func (s *Server) publishLocked(js *jobState, ev Event) {
 	}
 }
 
-// closeSubsLocked ends every subscriber stream. Callers hold s.mu.
-func (s *Server) closeSubsLocked(js *jobState) {
-	for _, ch := range js.subs {
-		close(ch)
+// serveEvents streams the job's Event feed as server-sent events until the
+// job reaches a terminal state or the client disconnects. A reconnecting
+// client sends the standard Last-Event-ID header and the stream resumes
+// after that event (replayed from the retained ring) instead of
+// restarting or silently missing the terminal transition.
+func serveEvents(f Frontend, w http.ResponseWriter, r *http.Request) {
+	after := int64(-1)
+	if v := r.Header.Get("Last-Event-ID"); v != "" {
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
+			after = n
+		}
 	}
-	js.subs = nil
+	ch, unsub, err := f.SubscribeAfter(r.PathValue("id"), after)
+	if err != nil {
+		writeErr(w, err, nil)
+		return
+	}
+	defer unsub()
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": "streaming unsupported"})
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+	for {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				return
+			}
+			b, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, b); err != nil {
+				return
+			}
+			fl.Flush()
+		case <-r.Context().Done():
+			return
+		}
+	}
 }

@@ -35,7 +35,7 @@ func sseServer(t *testing.T) (*Server, *httptest.Server) {
 func subCount(srv *Server, id string) int {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if js := srv.jobs[id]; js != nil {
+	if js := srv.jobs.ByID[id]; js != nil {
 		return len(js.subs)
 	}
 	return 0

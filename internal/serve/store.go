@@ -64,72 +64,61 @@ func (r *JobRecord) Terminal() bool {
 	return r.State == StateDone || r.State == StateFailed || r.State == StateCanceled
 }
 
-// store persists job records and checkpoints under the server's data
-// directory:
+// Store is the on-disk layout both job front ends persist under — a
+// serve.Server and the cluster coordinator differ only in what a job
+// record holds and in the name of the snapshot directory:
 //
-//	<dir>/jobs/<id>.json   one JobRecord per job, written atomically
-//	<dir>/ckpt/<id>.ckpt   latest checkpoint of a running job
-//	<dir>/cache/           the exec result cache (opened by the server)
-type store struct {
-	dir string
+//	<dir>/jobs/<id>.json         one record per job, written atomically
+//	<dir>/<snap>/<id>.<snap>     latest checkpoint of a pending job
+//	<dir>/cache/                 the exec result cache (opened by the owner)
+//
+// A Server uses snap "ckpt"; the coordinator "snap" (its migrated
+// snapshots).
+type Store struct {
+	dir, snap string
 }
 
-func openStore(dir string) (*store, error) {
-	for _, sub := range []string{"jobs", "ckpt", "cache"} {
+// OpenStore creates (if needed) the layout under dir.
+func OpenStore(dir, snap string) (*Store, error) {
+	for _, sub := range []string{"jobs", snap, "cache"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("serve: store: %w", err)
 		}
 	}
-	return &store{dir: dir}, nil
+	return &Store{dir: dir, snap: snap}, nil
 }
 
-func (s *store) cacheDir() string { return filepath.Join(s.dir, "cache") }
+// CacheDir is the result-cache directory.
+func (s *Store) CacheDir() string { return filepath.Join(s.dir, "cache") }
 
-func (s *store) jobPath(id string) string {
-	return filepath.Join(s.dir, "jobs", id+".json")
+// SnapshotPath is where the job's checkpoint lives.
+func (s *Store) SnapshotPath(id string) string {
+	return filepath.Join(s.dir, s.snap, id+"."+s.snap)
 }
 
-func (s *store) ckptPath(id string) string {
-	return filepath.Join(s.dir, "ckpt", id+".ckpt")
-}
-
-// putJob writes the record atomically (temp file + rename), so a crash
-// leaves the previous version, never a torn one.
-func (s *store) putJob(rec *JobRecord) error {
-	b, err := json.Marshal(rec)
+// PutJob writes the job's record (any JSON-encodable form) atomically, so
+// a crash leaves the previous version, never a torn one.
+func (s *Store) PutJob(id string, v any) error {
+	b, err := json.Marshal(v)
+	if err == nil {
+		err = exec.WriteFileAtomic(filepath.Join(s.dir, "jobs", id+".json"), b)
+	}
 	if err != nil {
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	path := s.jobPath(rec.ID)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".job*")
-	if err != nil {
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: store: %w", err)
 	}
 	return nil
 }
 
-// loadJobs reads every decodable job record. Undecodable files (torn by a
-// crash predating the atomic writer, or hand-damaged) are skipped, not
-// fatal: losing one record must not take the whole server down.
-func (s *store) loadJobs() ([]*JobRecord, error) {
+// LoadJobs reads every decodable record of type T whose id is non-empty.
+// Undecodable files (torn by a crash predating the atomic writer, or
+// hand-damaged) are skipped, not fatal: losing one record must not take
+// the whole front end down.
+func LoadJobs[T any](s *Store, id func(*T) string) ([]*T, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
 	}
-	var out []*JobRecord
+	var out []*T
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
@@ -138,11 +127,11 @@ func (s *store) loadJobs() ([]*JobRecord, error) {
 		if err != nil {
 			continue
 		}
-		var rec JobRecord
-		if json.Unmarshal(b, &rec) != nil || rec.ID == "" {
+		v := new(T)
+		if json.Unmarshal(b, v) != nil || id(v) == "" {
 			continue
 		}
-		out = append(out, &rec)
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -151,42 +140,33 @@ func (s *store) loadJobs() ([]*JobRecord, error) {
 // actually belongs to the job's spec. Any failure reads as "no
 // checkpoint": a checkpoint is an optimization, never a correctness
 // dependency.
-func (s *store) loadSnapshot(rec *JobRecord) *exec.Snapshot {
-	snap, err := exec.ReadSnapshot(s.ckptPath(rec.ID))
+func (s *Store) loadSnapshot(rec *JobRecord) *exec.Snapshot {
+	snap, err := exec.ReadSnapshot(s.SnapshotPath(rec.ID))
 	if err != nil || snap.Job.Hash() != rec.Hash {
 		return nil
 	}
 	return &snap
 }
 
-func (s *store) dropSnapshot(id string) { os.Remove(s.ckptPath(id)) }
+// DropSnapshot deletes the job's checkpoint, if any.
+func (s *Store) DropSnapshot(id string) { os.Remove(s.SnapshotPath(id)) }
 
-// snapshotBytes reads the job's raw checkpoint file for snapshot export.
-func (s *store) snapshotBytes(id string) ([]byte, error) {
-	b, err := os.ReadFile(s.ckptPath(id))
+// SnapshotBytes reads the job's raw checkpoint file (ErrNoSnapshot when
+// there is none).
+func (s *Store) SnapshotBytes(id string) ([]byte, error) {
+	b, err := os.ReadFile(s.SnapshotPath(id))
 	if err != nil {
 		return nil, ErrNoSnapshot
 	}
 	return b, nil
 }
 
-// putSnapshotBytes stages externally supplied checkpoint bytes (a hand-off
-// snapshot from another host) as the job's own checkpoint, atomically.
-func (s *store) putSnapshotBytes(id string, b []byte) error {
-	path := s.ckptPath(id)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt*")
-	if err != nil {
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: snapshot write failed")
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store: %w", err)
+// PutSnapshot stages externally supplied checkpoint bytes (a hand-off or
+// migrated snapshot from another host) as the job's own checkpoint,
+// atomically.
+func (s *Store) PutSnapshot(id string, b []byte) error {
+	if err := exec.WriteFileAtomic(s.SnapshotPath(id), b); err != nil {
+		return fmt.Errorf("serve: store: snapshot %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,12 @@
 // checkpoint/restore so a killed server resumes interrupted jobs on
 // restart. Results are stored in the same content-hash cache the batch
 // pool uses, so server runs and direct runs share one result store.
+//
+// The job lifecycle lives here once for both job front ends, this Server
+// and the cluster coordinator: the job table and its admission and
+// terminal transitions (Table, Entry), the per-job event ring with
+// Last-Event-ID replay, the /v1/jobs HTTP handlers with SSE framing
+// (JobMux), and the record store (Store).
 package serve
 
 import (

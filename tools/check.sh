@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository check: build, vet, race-enabled tests, fuzz smoke passes over
-# the trace-file and fault-spec parsers, a race-enabled fault-injection
+# the trace-file, fault-spec and job-submission parsers, a race-enabled
+# serve and coordinator CLI smoke, a race-enabled fault-injection
 # smoke (drop-plan recovery per engine + watchdog dump), a race-enabled
 # metrics-instrumented experiment run, and a race-enabled cluster chaos
 # campaign (coordinator + workers with seeded kills; results byte-compared
@@ -27,6 +28,12 @@ go test ./internal/trace -fuzz '^FuzzRead$' -fuzztime 10s
 # Fault-spec fuzz smoke: parse/canonicalize round-trip and plan determinism
 # over the committed corpus (internal/fault/testdata/fuzz/FuzzParseSpec).
 go test ./internal/fault -fuzz '^FuzzParseSpec$' -fuzztime 5s
+
+# Job-submission fuzz smoke: JSON into serve.SubmitRequest and BuildJob —
+# the front door serve and the cluster coordinator share — must never
+# panic, and an accepted request must keep its content hash across a JSON
+# round trip (internal/serve/testdata/fuzz/FuzzSubmitRequest).
+go test ./internal/serve -fuzz '^FuzzSubmitRequest$' -fuzztime 5s
 
 # Litmus smoke under the race detector: a fixed-seed campaign of generated
 # conflict programs on both engines, clean and under a drop plan with
@@ -134,6 +141,30 @@ done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q 'drained' "$SERVE_DATA/server.log"
+
+# Coordinator smoke under the race detector: a coordinator and one worker
+# joined to it as separate processes; a client submits through the
+# coordinator and follows the coordinator's own event stream to the
+# terminal state, then SIGTERM must drain both processes cleanly.
+COORD_ADDR=127.0.0.1:18932
+WORKER_ADDR=127.0.0.1:18933
+"$SERVE_DATA/innetcc" -coordinator "$COORD_ADDR" -coord-data "$SERVE_DATA/coord" \
+    > "$SERVE_DATA/coord.log" 2>&1 &
+COORD_PID=$!
+for i in $(seq 1 50); do
+    if "$SERVE_DATA/innetcc" -client "http://$COORD_ADDR" >/dev/null 2>&1; then break; fi
+    sleep 0.2
+done
+"$SERVE_DATA/innetcc" -serve "$WORKER_ADDR" -serve-data "$SERVE_DATA/worker" \
+    -join "http://$COORD_ADDR" -advertise "http://$WORKER_ADDR" > "$SERVE_DATA/worker.log" 2>&1 &
+WORKER_PID=$!
+"$SERVE_DATA/innetcc" -client "http://$COORD_ADDR" -submit -profile fft \
+    -engine tree -accesses 120 -tenant ci -watch yes >/dev/null
+kill -TERM "$WORKER_PID" "$COORD_PID"
+wait "$WORKER_PID"
+wait "$COORD_PID"
+grep -q 'drained' "$SERVE_DATA/worker.log"
+grep -q 'drained' "$SERVE_DATA/coord.log"
 
 # Serving-layer benchmark smoke: the 8-profile x 2-engine sweep through the
 # job server with a cold and a warm result cache, recorded as
