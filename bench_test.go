@@ -80,10 +80,9 @@ func BenchmarkKernelIdleMeshAlwaysTick(b *testing.B) { kernelMeshRun(b, true) }
 // BenchmarkParallelMesh measures the tick loop on a single large
 // simulation: a 16x16 mesh (256 nodes) under the tree protocol. The name
 // predates the serial kernel; the benchmark is its former serial row.
-// Construction (dominated by allocating and zeroing 256 nodes' caches) is
-// excluded from the timed region, so ns/op is simulation only. CI's
-// bench-smoke step records it in BENCH_soa.json together with the host's
-// CPU count.
+// Construction is excluded from the timed region, so ns/op is simulation
+// only; BenchmarkBuild times construction on its own. CI's bench-smoke step
+// records it in BENCH_soa.json together with the host's CPU count.
 func BenchmarkParallelMesh(b *testing.B) {
 	p, err := trace.ProfileByName("bar")
 	if err != nil {

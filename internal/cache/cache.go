@@ -15,21 +15,31 @@
 // live here so all three cache users share one replacement implementation.
 package cache
 
+import "math"
+
 // Cache is a set-associative cache mapping line addresses to a payload of
 // type V. It is a pure tag store: timing is modeled by its callers.
+//
+// Storage is proportional to the sets ever written, not to capacity. New
+// allocates only a per-set index; a set's ways are created the first time
+// Insert or InsertNoEvict writes to it, in fixed-size chunks that are never
+// reallocated, so payload pointers stay put. Read-only operations on an
+// untouched set allocate nothing and behave as on a set of invalid ways.
 type Cache[V any] struct {
-	sets    []set[V]
-	ways    int
-	numSets int
-	clock   uint64
+	// index holds, per set, 1 + the set's slot among the materialized
+	// sets; 0 means the set was never written and has no lines.
+	index      []int32
+	chunks     [][]line[V] // slot s lives in chunks[s>>chunkShift]
+	chunkShift uint        // log2 of the sets per chunk
+	slots      int         // materialized sets
+	valid      int         // valid lines, for Len
+	ways       int
+	numSets    int
+	clock      uint64
 
 	// Hits and Misses count Lookup results for miss-rate reporting.
 	Hits   int64
 	Misses int64
-}
-
-type set[V any] struct {
-	lines []line[V]
 }
 
 type line[V any] struct {
@@ -39,6 +49,11 @@ type line[V any] struct {
 	val   V
 }
 
+// chunkLines is the target number of lines in one storage chunk. A chunk
+// holds the largest power-of-two number of whole sets that fits, and at
+// least one set.
+const chunkLines = 256
+
 // New returns a cache with the given total number of entries and
 // associativity. It panics if entries is not a positive multiple of ways.
 func New[V any](entries, ways int) *Cache[V] {
@@ -46,11 +61,14 @@ func New[V any](entries, ways int) *Cache[V] {
 		panic("cache: entries must be a positive multiple of ways")
 	}
 	numSets := entries / ways
-	c := &Cache[V]{ways: ways, numSets: numSets, sets: make([]set[V], numSets)}
-	for i := range c.sets {
-		c.sets[i].lines = make([]line[V], ways)
+	if numSets >= math.MaxInt32 {
+		panic("cache: too many sets")
 	}
-	return c
+	shift := uint(0)
+	for 2<<shift*ways <= chunkLines {
+		shift++
+	}
+	return &Cache[V]{ways: ways, numSets: numSets, index: make([]int32, numSets), chunkShift: shift}
 }
 
 // Ways returns the associativity.
@@ -70,12 +88,42 @@ func (c *Cache[V]) addrOf(setIdx int, tag uint64) uint64 {
 	return tag*uint64(c.numSets) + uint64(setIdx)
 }
 
+// slotLines returns the ways of the materialized set in slot.
+func (c *Cache[V]) slotLines(slot int) []line[V] {
+	off := (slot & (1<<c.chunkShift - 1)) * c.ways
+	return c.chunks[slot>>c.chunkShift][off : off+c.ways : off+c.ways]
+}
+
+// lines returns the ways of set setIdx, or nil if it was never written.
+func (c *Cache[V]) lines(setIdx int) []line[V] {
+	if s := c.index[setIdx]; s != 0 {
+		return c.slotLines(int(s - 1))
+	}
+	return nil
+}
+
+// materialize returns the ways of set setIdx, creating them (all invalid)
+// on first touch.
+func (c *Cache[V]) materialize(setIdx int) []line[V] {
+	if ls := c.lines(setIdx); ls != nil {
+		return ls
+	}
+	slot := c.slots
+	if slot>>c.chunkShift == len(c.chunks) {
+		sets := min(1<<c.chunkShift, c.numSets-slot)
+		c.chunks = append(c.chunks, make([]line[V], sets*c.ways))
+	}
+	c.slots++
+	c.index[setIdx] = int32(c.slots)
+	return c.slotLines(slot)
+}
+
 func (c *Cache[V]) find(addr uint64) *line[V] {
-	s := &c.sets[c.setIndex(addr)]
+	ls := c.lines(c.setIndex(addr))
 	tag := c.tag(addr)
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].tag == tag {
-			return &s.lines[i]
+	for i := range ls {
+		if ls[i].valid && ls[i].tag == tag {
+			return &ls[i]
 		}
 	}
 	return nil
@@ -113,29 +161,32 @@ func (c *Cache[V]) Insert(addr uint64) (v *V, evictedAddr uint64, evictedVal V, 
 		ln.lru = c.clock
 		return &ln.val, 0, evictedVal, false
 	}
-	s := &c.sets[c.setIndex(addr)]
+	setIdx := c.setIndex(addr)
+	ls := c.materialize(setIdx)
 	victim := -1
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	for i := range ls {
+		if !ls[i].valid {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
 		victim = 0
-		for i := 1; i < len(s.lines); i++ {
-			if s.lines[i].lru < s.lines[victim].lru {
+		for i := 1; i < len(ls); i++ {
+			if ls[i].lru < ls[victim].lru {
 				victim = i
 			}
 		}
 		evicted = true
-		evictedAddr = c.addrOf(c.setIndex(addr), s.lines[victim].tag)
-		evictedVal = s.lines[victim].val
+		evictedAddr = c.addrOf(setIdx, ls[victim].tag)
+		evictedVal = ls[victim].val
+	} else {
+		c.valid++
 	}
 	c.clock++
 	var zero V
-	s.lines[victim] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-	return &s.lines[victim].val, evictedAddr, evictedVal, evicted
+	ls[victim] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
+	return &ls[victim].val, evictedAddr, evictedVal, evicted
 }
 
 // InsertNoEvict allocates a line for addr only if the set has an invalid
@@ -148,13 +199,14 @@ func (c *Cache[V]) InsertNoEvict(addr uint64) (*V, bool) {
 		ln.lru = c.clock
 		return &ln.val, true
 	}
-	s := &c.sets[c.setIndex(addr)]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	ls := c.materialize(c.setIndex(addr))
+	for i := range ls {
+		if !ls[i].valid {
 			c.clock++
+			c.valid++
 			var zero V
-			s.lines[i] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
-			return &s.lines[i].val, true
+			ls[i] = line[V]{tag: c.tag(addr), valid: true, lru: c.clock, val: zero}
+			return &ls[i].val, true
 		}
 	}
 	return nil, false
@@ -168,6 +220,7 @@ func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 		v := ln.val
 		ln.valid = false
 		ln.val = zero
+		c.valid--
 		return v, true
 	}
 	return zero, false
@@ -176,9 +229,12 @@ func (c *Cache[V]) Invalidate(addr uint64) (V, bool) {
 // HasFreeWay reports whether the set addr maps to has at least one invalid
 // way.
 func (c *Cache[V]) HasFreeWay(addr uint64) bool {
-	s := &c.sets[c.setIndex(addr)]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	ls := c.lines(c.setIndex(addr))
+	if ls == nil {
+		return true
+	}
+	for i := range ls {
+		if !ls[i].valid {
 			return true
 		}
 	}
@@ -190,52 +246,60 @@ func (c *Cache[V]) HasFreeWay(addr uint64) bool {
 // accepts every valid line. The line addressed by addr itself is excluded.
 func (c *Cache[V]) LRUVictim(addr uint64, keep func(lineAddr uint64, v *V) bool) (uint64, *V, bool) {
 	setIdx := c.setIndex(addr)
-	s := &c.sets[setIdx]
+	ls := c.lines(setIdx)
 	tag := c.tag(addr)
 	best := -1
-	for i := range s.lines {
-		ln := &s.lines[i]
+	for i := range ls {
+		ln := &ls[i]
 		if !ln.valid || ln.tag == tag {
 			continue
 		}
 		if keep != nil && !keep(c.addrOf(setIdx, ln.tag), &ln.val) {
 			continue
 		}
-		if best < 0 || ln.lru < s.lines[best].lru {
+		if best < 0 || ln.lru < ls[best].lru {
 			best = i
 		}
 	}
 	if best < 0 {
 		return 0, nil, false
 	}
-	return c.addrOf(setIdx, s.lines[best].tag), &s.lines[best].val, true
+	return c.addrOf(setIdx, ls[best].tag), &ls[best].val, true
 }
 
 // ScanSet calls fn for every valid line in addr's set until fn returns
 // false.
 func (c *Cache[V]) ScanSet(addr uint64, fn func(lineAddr uint64, v *V) bool) {
 	setIdx := c.setIndex(addr)
-	s := &c.sets[setIdx]
-	for i := range s.lines {
-		if !s.lines[i].valid {
+	ls := c.lines(setIdx)
+	for i := range ls {
+		if !ls[i].valid {
 			continue
 		}
-		if !fn(c.addrOf(setIdx, s.lines[i].tag), &s.lines[i].val) {
+		if !fn(c.addrOf(setIdx, ls[i].tag), &ls[i].val) {
 			return
 		}
 	}
 }
 
 // ScanAll calls fn for every valid line in the cache until fn returns
-// false. It is used by structural invariant checks at quiescence.
+// false, walking sets and ways in index order and skipping sets that were
+// never written. It is used by structural invariant checks at quiescence
+// and by state digests.
 func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
-	for setIdx := range c.sets {
-		s := &c.sets[setIdx]
-		for i := range s.lines {
-			if !s.lines[i].valid {
+	if c.valid == 0 {
+		return
+	}
+	for setIdx, s := range c.index {
+		if s == 0 {
+			continue
+		}
+		ls := c.slotLines(int(s - 1))
+		for i := range ls {
+			if !ls[i].valid {
 				continue
 			}
-			if !fn(c.addrOf(setIdx, s.lines[i].tag), &s.lines[i].val) {
+			if !fn(c.addrOf(setIdx, ls[i].tag), &ls[i].val) {
 				return
 			}
 		}
@@ -243,17 +307,7 @@ func (c *Cache[V]) ScanAll(fn func(lineAddr uint64, v *V) bool) {
 }
 
 // Len returns the number of valid lines currently held.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for setIdx := range c.sets {
-		for i := range c.sets[setIdx].lines {
-			if c.sets[setIdx].lines[i].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache[V]) Len() int { return c.valid }
 
 // MissRate returns Misses/(Hits+Misses), or 0 before any lookup.
 func (c *Cache[V]) MissRate() float64 {

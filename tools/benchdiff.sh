@@ -4,8 +4,9 @@
 # Compares two BENCH_*.json files produced by check.sh and fails (exit 1)
 # if any timing field regressed by more than the threshold (default 10%).
 #
-# Compared fields are the flat numeric keys ending in "_ns_per_op" (lower
-# is better) and "_jobs_per_sec" (higher is better); ratio/metadata fields
+# Compared fields are the flat numeric keys ending in "_ns_per_op",
+# "_bytes_per_op" or "_allocs_per_op" (lower is better) and
+# "_jobs_per_sec" (higher is better); ratio/metadata fields
 # (speedups, cycle counts, host_cpus, configs) are ignored. A key present
 # in only one file is reported but never fails the diff, so adding a new
 # benchmark row doesn't break the comparison against an old baseline.
@@ -42,7 +43,7 @@ awk -v thresh="$THRESH" -v oldf="$OLD" -v newf="$NEW" '
         fails = 0
         seen = 0
         for (key in old) {
-            if (key ~ /_ns_per_op$/)        better = "lower"
+            if (key ~ /_(ns|bytes|allocs)_per_op$/) better = "lower"
             else if (key ~ /_jobs_per_sec$/) better = "higher"
             else continue
             if (!(key in new)) { printf "benchdiff: %-32s only in %s\n", key, oldf; continue }
@@ -55,7 +56,7 @@ awk -v thresh="$THRESH" -v oldf="$OLD" -v newf="$NEW" '
             printf "benchdiff: %-32s old %-14s new %-14s %+6.1f%% %s\n", key, old[key], new[key], delta, verdict
         }
         for (key in new)
-            if (!(key in old) && (key ~ /_ns_per_op$/ || key ~ /_jobs_per_sec$/))
+            if (!(key in old) && (key ~ /_(ns|bytes|allocs)_per_op$/ || key ~ /_jobs_per_sec$/))
                 printf "benchdiff: %-32s only in %s\n", key, newf
         if (seen == 0) { print "benchdiff: no comparable timing fields found" > "/dev/stderr"; exit 2 }
         if (fails > 0) { printf "benchdiff: %d field(s) regressed beyond %.0f%%\n", fails, thresh * 100 > "/dev/stderr"; exit 1 }

@@ -122,6 +122,47 @@ if [ -n "$OLD_SOA" ]; then
         echo "benchdiff: ADVISORY — smoke-run numbers regressed vs committed; rerun with SOA_BENCHTIME=5x before trusting this" >&2
 fi
 
+# Build cost record: protocol.Build alone (trace generation excluded) on
+# 16x16, 32x32 and 64x64 tree-engine meshes, recorded as BENCH_build.json
+# with the host CPU count. Cache sets materialize on first touch, so these
+# numbers grow with the per-set indexes, not with cache capacity; B/op and
+# allocs/op are deterministic, ns/op is a 10-iteration smoke. Set
+# BUILD_BENCHTIME to refresh with more iterations. The benchdiff pass
+# against the previously committed file is advisory, as above.
+: "${BUILD_BENCHTIME:=10x}"
+OLD_BUILD=$(mktemp)
+cp BENCH_build.json "$OLD_BUILD" 2>/dev/null || OLD_BUILD=
+go test -run '^$' -bench '^BenchmarkBuild$' -benchtime "$BUILD_BENCHTIME" . |
+    awk -v ncpu="$(nproc)" '
+        $1 ~ /^BenchmarkBuild\// {
+            name = $1; sub(/-[0-9]+$/, "", name); sub(/^BenchmarkBuild\//, "", name); gsub(/:/, "", name)
+            for (i = 2; i <= NF; i++) {
+                if ($(i+1) == "ns/op") ns[name] = $i
+                if ($(i+1) == "B/op") by[name] = $i
+                if ($(i+1) == "allocs/op") al[name] = $i
+            }
+        }
+        END {
+            n = split("mesh16x16 mesh32x32 mesh64x64", keys, " ")
+            for (k = 1; k <= n; k++)
+                if (ns[keys[k]] == "" || by[keys[k]] == "" || al[keys[k]] == "") { print "bench output missing" > "/dev/stderr"; exit 1 }
+            printf "{\n"
+            printf "  \"benchmark\": \"Build\",\n"
+            printf "  \"config\": \"protocol.Build only, tree engine, bar profile, 20 accesses/node\",\n"
+            printf "  \"host_cpus\": %d,\n", ncpu
+            for (k = 1; k <= n; k++) {
+                printf "  \"%s_ns_per_op\": %s,\n", keys[k], ns[keys[k]]
+                printf "  \"%s_bytes_per_op\": %s,\n", keys[k], by[keys[k]]
+                printf "  \"%s_allocs_per_op\": %s%s\n", keys[k], al[keys[k]], k < n ? "," : ""
+            }
+            printf "}\n"
+        }' > BENCH_build.json
+cat BENCH_build.json
+if [ -n "$OLD_BUILD" ]; then
+    tools/benchdiff.sh "$OLD_BUILD" BENCH_build.json ||
+        echo "benchdiff: ADVISORY — Build numbers regressed vs committed; rerun with BUILD_BENCHTIME=50x before trusting this" >&2
+fi
+
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
 # fetch the result, then SIGTERM the server and require a clean drain.
