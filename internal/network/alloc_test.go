@@ -75,6 +75,28 @@ func TestSoAHotPathZeroAllocsMultiRouter(t *testing.T) {
 	}
 }
 
+// TestWaitingRouterTickZeroAllocs is the next-action sibling of the guard
+// above: a router whose only packet is still in its pipeline stays in the
+// kernel's active set, and the kernel step that ticks it (the tick returns
+// before its next-action cycle) allocates nothing.
+func TestWaitingRouterTickZeroAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := testMesh(k, 2, 1, 5000, 1, pingPongPolicy{})
+	m.EjectFn = func(int, *Packet, int64) {}
+	p := m.AllocPacketFor(0)
+	p.ID = m.NextIDFor(0)
+	p.Flits = 1
+	m.Inject(0, p, k.Now())
+	k.Run(10)
+	allocs := testing.AllocsPerRun(1000, func() { k.Step() })
+	if allocs != 0 {
+		t.Fatalf("step of a router waiting out its pipeline allocated %.2f per run, want 0", allocs)
+	}
+	if r := m.Routers[0]; r.Quiescent() || m.nextAct[0] <= k.Now() {
+		t.Fatalf("router 0 should be active and waiting (queued=%d, nextAct=%d, now=%d)", r.QueuedPackets(), m.nextAct[0], k.Now())
+	}
+}
+
 // TestPacketFreeListRecycles verifies pool packets return to the free-list
 // after delivery while literal-built packets (whose references a test
 // harness may retain) are never recycled.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"innetcc/internal/fault"
@@ -112,7 +113,9 @@ type Mesh struct {
 	// router, so per-router stamping grants identically to a global
 	// counter). freePkts is the per-router packet free-list — packets
 	// recycle at the router where they die — and tids the kernel ticker
-	// ids for wakes.
+	// ids for wakes. nextAct is derived state, never digested: the first
+	// cycle at which a router's tick could route or grant anything (see
+	// Router.Tick). enqueueAt resets it to 0, and a replay rebuilds it.
 	fifos    []fifoQueue
 	busyTill []int64
 	queued   []int32
@@ -120,6 +123,7 @@ type Mesh struct {
 	idSeq    []uint64
 	freePkts [][]*Packet
 	tids     []sim.TickerID
+	nextAct  []int64
 
 	// stage holds the cycle's router effects on other routers and on
 	// the protocol, applied at the end of the cycle (flush).
@@ -242,6 +246,7 @@ func Build(k *sim.Kernel, cfg Config) *Mesh {
 	m.idSeq = make([]uint64, nodes)
 	m.freePkts = make([][]*Packet, nodes)
 	m.tids = make([]sim.TickerID, nodes)
+	m.nextAct = make([]int64, nodes)
 	for i := 0; i < nodes; i++ {
 		r := &Router{NodeID: i, mesh: m}
 		m.Routers = append(m.Routers, r)
@@ -389,17 +394,23 @@ func (m *Mesh) recycleAt(node int, p *Packet) {
 }
 
 // enqueueAt appends e to node's [port][vc] FIFO and wakes the router: it
-// now has work and must tick until it drains again.
+// now has work and must tick until it drains again. It is the only path
+// that adds to a router's FIFOs, so it is also where the router's
+// next-action cycle is reset: the new entry may be a head the last tick
+// did not see.
 func (m *Mesh) enqueueAt(node, port, vc int, e fifoEntry) {
 	m.fifoAt(node, port, vc).push(e)
 	m.queued[node]++
+	m.nextAct[node] = 0
 	m.kernel.Wake(m.tids[node])
 }
 
 // Quiescent implements sim.Parker: a router with empty FIFOs has nothing to
 // route or arbitrate (busyTill holds an absolute cycle, so an in-flight
 // serialization tail needs no ticking to expire), and every path that hands
-// the router a packet wakes it.
+// the router a packet wakes it. A router that holds packets stays active
+// even when none can move yet; its Tick returns at once until its
+// next-action cycle instead.
 func (r *Router) Quiescent() bool { return r.mesh.queued[r.NodeID] == 0 }
 
 // Inject places a packet into node's router through the local injection
@@ -449,13 +460,28 @@ func (m *Mesh) Spawn(node int, p *Packet, now int64) { m.spawn(node, p, now) }
 // packets, then arbitrate each output port. Effects on other routers and
 // on the protocol's delivery and drop hooks go through the mesh's staging
 // records (see cycleStage). The fifos/busy locals below are the router's
-// contiguous array bands; every FIFO scan in both phases walks them
-// linearly (port-major, VC-minor — the flat layout's element order).
+// contiguous array bands; every FIFO scan walks them linearly (port-major,
+// VC-minor — the flat layout's element order).
+//
+// A tick before the router's next-action cycle would route nothing and
+// grant nothing, so it returns at once. The next-action cycle is set at
+// the end of every full tick to the minimum over the FIFO heads of readyAt
+// for an unrouted head (a head the policy stalled has readyAt <= now, so
+// it retries next cycle) and busyTill of the wanted link for a routed
+// head. Only the router's own tick changes those heads, busyTill and
+// routed flags, and enqueueAt resets the cycle for everything else. The
+// skip is off when a metrics collector is attached (queue and
+// serialization integrals count every cycle), when a fault injector is
+// armed (StallAt counts stall cycles on every tick) and under the
+// kernel's always-tick oracle, which thereby checks the skip too.
 func (r *Router) Tick(now int64) {
 	m := r.mesh
 	node := r.NodeID
-	stage := &m.stage
 	nm := m.Metrics
+	if now < m.nextAct[node] && nm == nil && m.Faults == nil && !m.kernel.AlwaysTick() {
+		return
+	}
+	stage := &m.stage
 	nSlots := m.numIn * m.VCCount
 	fifos := m.fifos[node*nSlots : (node+1)*nSlots]
 	busy := m.busyTill[node*m.numOut : (node+1)*m.numOut]
@@ -528,12 +554,34 @@ func (r *Router) Tick(now int64) {
 	// teardown chasing the reply that just built a virtual link) can
 	// then never overtake that packet onto the link, which the
 	// in-network protocol's correctness argument requires.
+	//
+	// One walk over the slots picks each output's candidate: the routed
+	// head with the smallest routeSeq. Only a FIFO head is ever routed,
+	// and the head a grant's pop uncovers is unrouted until the next
+	// tick, so granting outputs in ascending order from these candidates
+	// is the same as rescanning the heads for every output.
+	var cand [MaxDegree + 1]int // 1 + slot of the output's oldest routed head; 0 = none
+	var candSeq [MaxDegree + 1]uint64
+	for slot := 0; slot < nSlots; slot++ {
+		h := fifos[slot].head0()
+		if h == nil || !h.pkt.routed {
+			continue
+		}
+		out := h.pkt.outSlot
+		if cand[out] == 0 || h.pkt.routeSeq < candSeq[out] {
+			cand[out] = slot + 1
+			candSeq[out] = h.pkt.routeSeq
+		}
+	}
 	local := m.localSlot()
 	for out := 0; out < m.numOut; out++ {
 		if inj := m.Faults; inj != nil && out != local &&
 			inj.StallAt(now, node, out) {
 			// The link is frozen by a stall fault this cycle: no grant,
 			// exactly as if it were still serializing.
+			continue
+		}
+		if cand[out] == 0 {
 			continue
 		}
 		if busy[out] > now {
@@ -550,21 +598,7 @@ func (r *Router) Tick(now int64) {
 			}
 			continue
 		}
-		granted := -1
-		var bestSeq uint64
-		for slot := 0; slot < nSlots; slot++ {
-			h := fifos[slot].head0()
-			if h == nil || !h.pkt.routed || h.pkt.outSlot != out {
-				continue
-			}
-			if granted < 0 || h.pkt.routeSeq < bestSeq {
-				granted = slot
-				bestSeq = h.pkt.routeSeq
-			}
-		}
-		if granted < 0 {
-			continue
-		}
+		granted := cand[out] - 1
 		e := fifos[granted].pop()
 		m.queued[node]--
 		p := e.pkt
@@ -629,6 +663,21 @@ func (r *Router) Tick(now int64) {
 			e:    fifoEntry{pkt: p, readyAt: now + 1 + m.Pipeline + m.Routers[nb].ExtraHopDelay},
 		})
 	}
+	// Next-action cycle: the earliest cycle at which some head can be
+	// routed or granted. An empty router sleeps until enqueueAt.
+	next := int64(math.MaxInt64)
+	for slot := 0; slot < nSlots; slot++ {
+		h := fifos[slot].head0()
+		if h == nil {
+			continue
+		}
+		at := h.readyAt
+		if h.pkt.routed {
+			at = busy[h.pkt.outSlot]
+		}
+		next = min(next, at)
+	}
+	m.nextAct[node] = next
 }
 
 func (m *Mesh) kernelNow() int64 { return m.kernel.Now() }

@@ -283,6 +283,11 @@ func (k *Kernel) SetAlwaysTick(on bool) {
 	}
 }
 
+// AlwaysTick reports whether the always-tick oracle is on. Tickers that
+// skip their own no-op cycles (the network's routers) tick in full under
+// it, so the oracle checks those skips as well as the kernel's parking.
+func (k *Kernel) AlwaysTick() bool { return k.alwaysTick }
+
 // Schedule arranges for fn to run at the start of the cycle delay cycles
 // from now and returns the effective fire cycle. A delay of zero or less is
 // clamped to one — fn runs at the start of the next cycle — because events
