@@ -237,7 +237,7 @@ func (e *Engine) serveFromHomeOrMemory(home int, msg *protocol.Msg, ep *dirEntry
 			e.m.Counters.Inc("dir.victim_hits", 1)
 			e.m.Kernel.Schedule(cfg.L2Latency, func() {
 				now := e.m.Kernel.Now()
-				line, ok := e.m.InvalidateLine(home, msg.Addr, now)
+				line, ok := e.m.InvalidateLine(home, msg.Addr)
 				if ok {
 					e.m.Check.SampleRead(msg.Addr, line.Version, e.m.Mem.Peek(msg.Addr), msg.Requester, now)
 					e.finishRead(home, msg, line.Version)
@@ -289,7 +289,7 @@ func (e *Engine) finishRead(home int, msg *protocol.Msg, version uint64) {
 func (e *Engine) grantWrite(home int, msg *protocol.Msg, ep *dirEntry) {
 	now := e.m.Kernel.Now()
 	if home != msg.Requester {
-		e.m.InvalidateLine(home, msg.Addr, now)
+		e.m.InvalidateLine(home, msg.Addr)
 	}
 	ep.sharers = bit(msg.Requester)
 	ep.owner = msg.Requester
@@ -358,7 +358,7 @@ func (e *Engine) handleInv(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	home := e.m.Cfg.Home(msg.Addr)
 	ack := &protocol.Msg{Type: protocol.InvAck, Addr: msg.Addr, Requester: msg.Requester}
-	if line, ok := e.m.InvalidateLine(node, msg.Addr, now); ok {
+	if line, ok := e.m.InvalidateLine(node, msg.Addr); ok {
 		ack.Version = line.Version
 		ack.HasData = true
 	} else if a, w, pend := e.m.OutstandingAddr(node); pend && a == msg.Addr && !w {
@@ -381,7 +381,7 @@ func (e *Engine) handleInvAck(home int, msg *protocol.Msg) {
 	}
 	if ep.evicting && msg.HasData && e.m.Cfg.VictimCaching {
 		// Victim-cache the displaced data at the home node.
-		e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version, e.m.Kernel.Now())
+		e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version)
 	}
 	if ep.pendingAcks > 0 {
 		return
@@ -405,7 +405,7 @@ func (e *Engine) handleWbNotice(home int, msg *protocol.Msg) {
 		ep.modified = false
 		ep.sharers &^= bit(msg.Requester)
 		if e.m.Cfg.VictimCaching && !ep.busy && !ep.evicting {
-			e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version, e.m.Kernel.Now())
+			e.m.InstallLine(home, msg.Addr, protocol.Shared, msg.Version)
 		}
 	}
 }
@@ -420,7 +420,7 @@ func (e *Engine) handleRdReply(node int, msg *protocol.Msg) {
 		delete(e.pendingInval[node], msg.Addr)
 		e.m.Check.ObserveRead(msg.Addr, msg.Version, node, now, false)
 	} else {
-		e.m.InstallLine(node, msg.Addr, protocol.Shared, msg.Version, now)
+		e.m.InstallLine(node, msg.Addr, protocol.Shared, msg.Version)
 		e.m.Check.ObserveRead(msg.Addr, msg.Version, node, now, false)
 	}
 	e.m.CompleteAccess(node, false, now, msg.DeadlockCycles)
@@ -435,7 +435,7 @@ func (e *Engine) handleWrReply(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	delete(e.pendingInval[node], msg.Addr)
 	v := e.m.Check.CommitWrite(msg.Addr, node, now)
-	e.m.InstallLine(node, msg.Addr, protocol.Modified, v, now)
+	e.m.InstallLine(node, msg.Addr, protocol.Modified, v)
 	e.m.CompleteAccess(node, true, now, msg.DeadlockCycles)
 }
 

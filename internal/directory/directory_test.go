@@ -12,7 +12,7 @@ import (
 // quiescence, failing the test on stuck state or verification violations.
 func runTrace(t *testing.T, cfg protocol.Config, tr *trace.Trace, think int64) (*protocol.Machine, *Engine) {
 	t.Helper()
-	m, err := protocol.NewMachine(cfg, tr, think)
+	m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: think})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestHopRecorderIdealNeverExceedsBase(t *testing.T) {
 	p, _ := trace.ProfileByName("wsp")
 	tr := trace.Generate(p, 16, 200, 13)
 	cfg := smallConfig()
-	m, err := protocol.NewMachine(cfg, tr, p.Think)
+	m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: p.Think})
 	if err != nil {
 		t.Fatal(err)
 	}

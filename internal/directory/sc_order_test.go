@@ -15,7 +15,7 @@ func TestSequentialConsistencyTotalOrder(t *testing.T) {
 	tr := trace.Generate(p, 16, 400, 23)
 	cfg := protocol.DefaultConfig()
 	cfg.DirEntries, cfg.DirWays = 256, 2
-	m, err := protocol.NewMachine(cfg, tr, p.Think)
+	m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: p.Think})
 	if err != nil {
 		t.Fatal(err)
 	}

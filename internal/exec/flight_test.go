@@ -23,7 +23,7 @@ func TestFlightRecorderCapturesDeadlockRecovery(t *testing.T) {
 	found := false
 	for seed := uint64(42); seed < 52; seed++ {
 		job.SuiteSeed = seed
-		res = simulate(job, 0)
+		res = RunJob(job, RunOptions{})
 		if res.Failed() {
 			t.Fatalf("seed %d: %s", seed, res.Err)
 		}

@@ -14,10 +14,10 @@ import (
 // payload differs.
 func TestMetricsDoNotPerturbResults(t *testing.T) {
 	for _, base := range testBatch() {
-		plain := simulate(base, 0)
+		plain := RunJob(base, RunOptions{})
 		instr := base
 		instr.Metrics = MetricsSpec{Enabled: true, FlightDump: true}
-		traced := simulate(instr, 0)
+		traced := RunJob(instr, RunOptions{})
 
 		if traced.Metrics == nil {
 			t.Fatalf("%s: no metrics payload on instrumented run", base.Key)
@@ -61,7 +61,7 @@ func TestMetricsIdenticalAcrossParallelism(t *testing.T) {
 func TestBreakdownSumsToReportedLatency(t *testing.T) {
 	for _, job := range testBatch() {
 		job.Metrics = MetricsSpec{Enabled: true}
-		res := simulate(job, 0)
+		res := RunJob(job, RunOptions{})
 		if res.Failed() {
 			t.Fatalf("%s: %s", job.Key, res.Err)
 		}

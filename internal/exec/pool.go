@@ -62,18 +62,28 @@ func (p *Pool) Run(jobs []Job) []Result {
 // without simulating at all.
 func (p *Pool) RunContext(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	workers := p.Workers
+	forEach(p.Workers, len(jobs), func(i int) {
+		results[i] = p.runOne(ctx, jobs[i])
+	})
+	return results
+}
+
+// forEach calls fn(i) for every i in [0, n) across up to workers goroutines
+// (<= 0 means GOMAXPROCS) and returns once every call has. With one worker
+// the calls run in order on the caller's goroutine. Callers write results
+// by index, so what they return is the same at every worker count.
+func forEach(workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i, j := range jobs {
-			results[i] = p.runOne(ctx, j)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return results
+		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -82,16 +92,15 @@ func (p *Pool) RunContext(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.runOne(ctx, jobs[i])
+				fn(i)
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results
 }
 
 // runOne executes a single job: cache lookup, in-process deduplication,

@@ -100,12 +100,6 @@ func RunJob(job Job, opt RunOptions) Result {
 	return res
 }
 
-// simulate runs one attempt of the job uninterrupted — the pre-segmentation
-// entry point, kept for the attempt-level determinism tests.
-func simulate(job Job, attempt int) Result {
-	return runAttempt(job, attempt, RunOptions{Ctx: context.Background()}, nil)
-}
-
 // runAttempt runs a single attempt of the job in segments. Panics anywhere
 // in the protocol or network stack are recovered into the Result so one
 // diverging configuration cannot take down a batch or the serving layer.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // ppmScale is the rate denominator: rates are parts-per-million, so a rate
@@ -380,9 +379,6 @@ type Injector struct {
 	// Drops counts plan-injected drops, ChecksumDrops packets discarded
 	// by corruption detection, Corruptions in-flight corruptions
 	// injected, and StallCycles link-grant cycles lost to stalls.
-	// Updates go through sync/atomic, added when router ticks ran
-	// concurrently; the simulator is serial now, and whether to keep the
-	// atomics is an open decision.
 	Drops         int64
 	ChecksumDrops int64
 	Corruptions   int64
@@ -395,7 +391,7 @@ func (i *Injector) DropAt(cycle int64, router, port int) bool {
 	if !i.Plan.DropAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.Drops, 1)
+	i.Drops++
 	return true
 }
 
@@ -403,7 +399,7 @@ func (i *Injector) CorruptAt(cycle int64, router, port int) bool {
 	if !i.Plan.CorruptAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.Corruptions, 1)
+	i.Corruptions++
 	return true
 }
 
@@ -411,6 +407,6 @@ func (i *Injector) StallAt(cycle int64, router, port int) bool {
 	if !i.Plan.StallAt(cycle, router, port) {
 		return false
 	}
-	atomic.AddInt64(&i.StallCycles, 1)
+	i.StallCycles++
 	return true
 }

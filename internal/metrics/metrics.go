@@ -20,8 +20,6 @@
 // simulated time advances.
 package metrics
 
-import "sync/atomic"
-
 // Counter identifies a hot-path metric counter. Counters are array slots
 // rather than map keys so a per-hop increment is one indexed add.
 type Counter uint8
@@ -142,14 +140,12 @@ func New(o Options) *Collector {
 // Enabled reports whether the collector is live.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Add increments counter k by d. No-op on a nil collector. The add is
-// atomic because router ticks once ran concurrently; the simulator is
-// serial now, and whether to keep the atomic is an open decision.
+// Add increments counter k by d. No-op on a nil collector.
 func (c *Collector) Add(k Counter, d int64) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.counters[k], d)
+	c.counters[k] += d
 }
 
 // Get returns counter k (0 on a nil collector).
@@ -157,7 +153,7 @@ func (c *Collector) Get(k Counter) int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&c.counters[k])
+	return c.counters[k]
 }
 
 // SetStaging installs the route-phase staging predicate: node events

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"innetcc/internal/fault"
 	"innetcc/internal/metrics"
@@ -502,7 +501,7 @@ func (r *Router) Tick(now int64) {
 		if inj := m.Faults; inj != nil && p.Checksum != ChecksumOf(p) {
 			// Corruption detected: discard before the policy (and
 			// its tree-cache side effects) ever sees the packet.
-			atomic.AddInt64(&inj.ChecksumDrops, 1)
+			inj.ChecksumDrops++
 			fifos[slot].pop()
 			m.queued[node]--
 			m.InFlight--

@@ -27,9 +27,9 @@ type StateDigester interface {
 // StateDigest folds the machine's live state into a 64-bit digest. It is
 // observation-only (no LRU movement, no counters) and deterministic: two
 // machines that have performed the same step sequence from the same spec
-// produce equal digests, and the parallel-tick and active-set engines'
-// byte-identity guarantees extend to it. Call it between RunSegment calls,
-// never mid-step.
+// produce equal digests, and the active-set kernel's byte-identity
+// guarantee extends to it. Call it between RunSegment calls, never
+// mid-step.
 func (m *Machine) StateDigest() uint64 {
 	d := sim.NewDigest()
 	m.Kernel.DigestState(d)

@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -95,6 +94,12 @@ func (n *Node) Pending() (trace.Access, bool) {
 // nodes and the statistics the evaluation reports. The coherence engine is
 // attached after construction (it builds the mesh with its own routing
 // policy and pipeline depth).
+//
+// A Machine and everything Build wires into it (kernel, mesh, engine,
+// memory, verifier, counters, metrics collector, fault injector) are owned
+// by the one goroutine that runs the simulation. None of them takes a lock
+// or uses atomics; concurrency lives above the machine, in the packages
+// that run many machines at once.
 type Machine struct {
 	Cfg    Config
 	Kernel *sim.Kernel
@@ -155,16 +160,6 @@ type Machine struct {
 // measured link-serialization wait.
 type netAcc struct {
 	net, trav, serial int64
-}
-
-// NewMachine builds a machine for the given configuration and trace. think
-// is the mean CPU idle time between accesses (from the benchmark profile).
-//
-// Deprecated: use Build with a Spec, which also constructs the engine and
-// wires metrics in one call. This shim exists for one release so external
-// drivers keep compiling.
-func NewMachine(cfg Config, tr *trace.Trace, think int64) (*Machine, error) {
-	return Build(Spec{Config: cfg, Trace: tr, Think: think})
 }
 
 // newMachine constructs the machine core from a validated spec; Build
@@ -474,28 +469,18 @@ func (m *Machine) OutstandingAddr(node int) (addr uint64, write bool, ok bool) {
 // InstallLine places a line into node's L2 in the given state, handling the
 // eviction of a victim (writeback of dirty data, engine notification) and
 // the verifier's copy registry.
-// DebugAddr enables stderr tracing of L2 install/invalidate events for one
-// line address, for protocol debugging in tests.
-var DebugAddr uint64
-
-func (m *Machine) InstallLine(node int, addr uint64, st DState, version uint64, now int64) {
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] install n%d addr %#x st=%v v=%d\n", now, node, addr, st, version)
-	}
+func (m *Machine) InstallLine(node int, addr uint64, st DState, version uint64) {
 	n := m.Nodes[node]
 	lp, evAddr, evLine, evicted := n.L2.Insert(addr)
 	if evicted {
-		m.evictCleanup(node, evAddr, evLine, now)
+		m.evictCleanup(node, evAddr, evLine)
 	}
 	lp.State = st
 	lp.Version = version
 	m.Check.RegisterCopy(addr, node)
 }
 
-func (m *Machine) evictCleanup(node int, addr uint64, line DataLine, now int64) {
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] evict n%d addr %#x st=%v\n", now, node, addr, line.State)
-	}
+func (m *Machine) evictCleanup(node int, addr uint64, line DataLine) {
 	m.Check.UnregisterCopy(addr, node)
 	if line.State == Modified {
 		m.Mem.Writeback(addr, line.Version)
@@ -512,12 +497,9 @@ func (m *Machine) evictCleanup(node int, addr uint64, line DataLine, now int64) 
 
 // InvalidateLine removes addr from node's L2 (if present), writing dirty
 // data back, and returns the line it held.
-func (m *Machine) InvalidateLine(node int, addr uint64, now int64) (DataLine, bool) {
+func (m *Machine) InvalidateLine(node int, addr uint64) (DataLine, bool) {
 	n := m.Nodes[node]
 	line, ok := n.L2.Invalidate(addr)
-	if DebugAddr != 0 && addr == DebugAddr {
-		fmt.Fprintf(os.Stderr, "[%8d] invalidate n%d addr %#x ok=%v\n", now, node, addr, ok)
-	}
 	if !ok {
 		return DataLine{}, false
 	}

@@ -78,11 +78,11 @@ func echoTrace(scripts map[int][]trace.Access) *trace.Trace {
 func TestMachineRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = network.TopoSpec{Kind: "mesh", W: 0, H: 4}
-	if _, err := NewMachine(cfg, echoTrace(nil), 5); err == nil {
+	if _, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 5}); err == nil {
 		t.Fatal("bad mesh accepted")
 	}
 	cfg = DefaultConfig()
-	if _, err := NewMachine(cfg, &trace.Trace{PerNode: make([][]trace.Access, 3)}, 5); err == nil {
+	if _, err := Build(Spec{Config: cfg, Trace: &trace.Trace{PerNode: make([][]trace.Access, 3)}, Think: 5}); err == nil {
 		t.Fatal("trace/node mismatch accepted")
 	}
 }
@@ -130,9 +130,9 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 	// A node's second access must not be issued before its first reply
 	// returns: with the echo engine, misses arrive one at a time.
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		3: {{Addr: 1}, {Addr: 2}, {Addr: 3}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +155,15 @@ func TestRequirementFourSerializesPerNode(t *testing.T) {
 
 func TestLocalHitsBypassEngine(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		2: {{Addr: 8, Write: true}, {Addr: 8, Write: true}, {Addr: 8}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := newEchoEngine(m)
 	// Pre-install the line as Modified so every access is a local hit.
-	m.InstallLine(2, 8, Modified, 0, 0)
+	m.InstallLine(2, 8, Modified, 0)
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +177,16 @@ func TestLocalHitsBypassEngine(t *testing.T) {
 
 func TestUpgradeMissForSharedWrite(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{
 		2: {{Addr: 8, Write: true}},
-	}), 1)
+	}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := newEchoEngine(m)
-	m.InstallLine(2, 8, Shared, 0, 0)
-	m.InvalidateLine(2, 8, 0) // drop it again so the verifier stays exact
-	m.InstallLine(2, 8, Shared, 0, 0)
+	m.InstallLine(2, 8, Shared, 0)
+	m.InvalidateLine(2, 8) // drop it again so the verifier stays exact
+	m.InstallLine(2, 8, Shared, 0)
 	if err := m.Run(1_000_000); err == nil {
 		// A write to a Shared line must reach the engine as a miss.
 		if e.misses != 1 {
@@ -199,7 +199,7 @@ func TestUpgradeMissForSharedWrite(t *testing.T) {
 
 func TestNICScheduleSerializes(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(nil), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,16 +231,16 @@ func TestNICScheduleSerializes(t *testing.T) {
 func TestInstallEvictionWritesBackDirty(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L2Entries, cfg.L2Ways = 2, 1
-	m, err := NewMachine(cfg, echoTrace(nil), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(nil), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	newEchoEngine(m)
 	m.Check.RegisterCopy(0, 0) // make CommitWrite's registry exact
 	v := m.Check.CommitWrite(0, 0, 0)
-	m.InstallLine(0, 0, Modified, v, 0)
+	m.InstallLine(0, 0, Modified, v)
 	// Alias in the same set evicts the dirty line.
-	m.InstallLine(0, 2, Shared, 0, 0)
+	m.InstallLine(0, 2, Shared, 0)
 	m.Kernel.Run(5)
 	if got := m.Mem.Peek(0); got != v {
 		t.Fatalf("dirty eviction did not write back: mem=%d want %d", got, v)
@@ -252,7 +252,7 @@ func TestInstallEvictionWritesBackDirty(t *testing.T) {
 
 func TestStuckReportNamesBlockedAccess(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, echoTrace(map[int][]trace.Access{5: {{Addr: 0x77}}}), 1)
+	m, err := Build(Spec{Config: cfg, Trace: echoTrace(map[int][]trace.Access{5: {{Addr: 0x77}}}), Think: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,7 @@ func RegisterEngineBuilder(k EngineKind, build func(*Machine) Engine) {
 }
 
 // Spec is the declarative machine construction request: everything Build
-// needs to produce a runnable simulation in one call. It replaces the
-// previous positional NewMachine(cfg, tr, think) plus
-// manually-constructed-engine idiom.
+// needs to produce a runnable simulation in one call.
 type Spec struct {
 	// Config is the machine configuration (Config.Seed drives all
 	// randomness in the run).

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Accumulator tracks count, sum, min and max of a stream of samples.
@@ -216,40 +215,30 @@ func (s Summary) String() string {
 }
 
 // Counters is a string-keyed event counter set for protocol bookkeeping
-// (teardowns spawned, deadlocks recovered, victim hits, ...). The map is
-// mutex-guarded because Inc was once called from concurrent router ticks;
-// the simulator is serial now, and whether to keep the mutex is an open
-// decision.
+// (teardowns spawned, deadlocks recovered, victim hits, ...).
 type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
+	m map[string]int64
 }
 
 // Inc adds delta to counter name.
 func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[string]int64)
 	}
 	c.m[name] += delta
-	c.mu.Unlock()
 }
 
 // Get returns counter name (zero if never incremented).
 func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.m[name]
 }
 
 // Names returns all counter names in sorted order.
 func (c *Counters) Names() []string {
-	c.mu.Lock()
 	names := make([]string, 0, len(c.m))
 	for k := range c.m {
 		names = append(names, k)
 	}
-	c.mu.Unlock()
 	sort.Strings(names)
 	return names
 }

@@ -283,32 +283,6 @@ func TestSummarizeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestCountersConcurrent(t *testing.T) {
-	// Counters is documented as safe for concurrent use; hammer it from
-	// several goroutines and check totals (run under -race to catch
-	// unguarded maps).
-	var c Counters
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				c.Inc("shared", 1)
-				c.Inc("other", 2)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if got := c.Get("shared"); got != 4000 {
-		t.Fatalf("shared=%d, want 4000", got)
-	}
-	if got := c.Get("other"); got != 8000 {
-		t.Fatalf("other=%d, want 8000", got)
-	}
-}
-
 func BenchmarkSummarize(b *testing.B) {
 	// The per-summary hot path: after the first sort, Summarize must be
 	// allocation-free and O(1) (run with -benchmem to see 0 allocs/op).

@@ -1,9 +1,6 @@
 package treecc
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"innetcc/internal/cache"
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
@@ -42,14 +39,11 @@ type Engine struct {
 	// root's data in the acknowledgment that terminates at the home
 	// node (the victim-caching optimization). One tree exists per
 	// address at a time, so the map is keyed by address. It is written
-	// at the root and read at the home; the mutex was added when those
-	// could tick concurrently, and whether to keep it is an open decision.
+	// at the root and read (then deleted) at the home.
 	rootData map[uint64]uint64
-	rootMu   sync.Mutex
 
 	// queued counts entries across homeQueue, pending and backoff waits,
-	// for Quiesced. It is atomic because route-phase code once updated
-	// it concurrently; whether to keep the atomic is an open decision.
+	// for Quiesced.
 	queued int64
 
 	// genCounters are the per-node tree-line generation stamps (see
@@ -117,24 +111,6 @@ func (e *Engine) nextGen(node int) uint64 {
 	return e.genCounters[node]
 }
 
-// setRootData and takeRootData guard the root-data victim map: the capture
-// happens at the tree root mid-tick, the consumption at the home.
-func (e *Engine) setRootData(addr uint64, version uint64) {
-	e.rootMu.Lock()
-	e.rootData[addr] = version
-	e.rootMu.Unlock()
-}
-
-func (e *Engine) takeRootData(addr uint64) (uint64, bool) {
-	e.rootMu.Lock()
-	v, ok := e.rootData[addr]
-	if ok {
-		delete(e.rootData, addr)
-	}
-	e.rootMu.Unlock()
-	return v, ok
-}
-
 // replicate schedules an above-network install of the reply's data at an
 // intermediate tree node (the paper's Section 4 replication extension).
 // The install validates the line generation so a recycled line is never
@@ -145,7 +121,7 @@ func (e *Engine) replicate(node int, addr uint64, version uint64, gen uint64) {
 		if !ok || line.Touched || line.LocalValid || line.Gen != gen {
 			return
 		}
-		e.m.InstallLine(node, addr, protocol.Shared, version, e.m.Kernel.Now())
+		e.m.InstallLine(node, addr, protocol.Shared, version)
 		line.LocalValid = true
 		e.m.Counters.Inc("tree.replicas", 1)
 	})
@@ -218,7 +194,6 @@ func (e *Engine) serviceTime(node int, addr uint64) int64 {
 func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	addr := msg.Addr
-	e.debugf(addr, "serveRead at n%d req=%d", node, msg.Requester)
 	if line, ok := e.trees[node].Peek(addr); ok && !line.Touched && line.LocalValid {
 		dl, present := e.m.PeekLine(node, addr)
 		if !present {
@@ -267,7 +242,7 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 		if _, present := e.m.PeekLine(node, addr); present {
 			// Requirement 2: serving from the victimized copy
 			// invalidates it.
-			line, ok := e.m.InvalidateLine(node, addr, now)
+			line, ok := e.m.InvalidateLine(node, addr)
 			if ok {
 				e.m.Counters.Inc("tree.victim_hits", 1)
 				e.m.Check.SampleRead(addr, line.Version, e.m.Mem.Peek(addr), msg.Requester, now)
@@ -289,9 +264,7 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 // Requirement 3 invalidates any victim copy in the home's L2, then the
 // grant travels back constructing the writer's fresh tree.
 func (e *Engine) grantWrite(node int, msg *protocol.Msg) {
-	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "grantWrite at n%d req=%d", node, msg.Requester)
-	e.m.InvalidateLine(node, msg.Addr, now)
+	e.m.InvalidateLine(node, msg.Addr)
 	e.injectHomeReply(node, msg, protocol.WrReply, 0)
 }
 
@@ -312,13 +285,12 @@ func (e *Engine) injectHomeReply(home int, req *protocol.Msg, t protocol.MsgType
 // reply was in its final hop, the data is used once and not cached.
 func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "finishRead at n%d v=%d", node, msg.Version)
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
 		return
 	}
 	if line, ok := e.trees[node].Peek(msg.Addr); ok && !line.Touched && line.OutstandingReq {
-		e.m.InstallLine(node, msg.Addr, protocol.Shared, msg.Version, now)
+		e.m.InstallLine(node, msg.Addr, protocol.Shared, msg.Version)
 		line.LocalValid = true
 		line.OutstandingReq = false
 	} else {
@@ -335,7 +307,6 @@ func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 // its outstanding-request bit cleared, and a held teardown acknowledgment
 // is let through so the collapse the reply was blocking can finish.
 func (e *Engine) dropStale(node int, msg *protocol.Msg) {
-	e.debugf(msg.Addr, "stale reply (attempt %d) dropped at n%d", msg.Attempt, node)
 	if line, ok := e.trees[node].Peek(msg.Addr); ok && line.OutstandingReq {
 		if line.Touched {
 			e.releaseHeldAck(node, msg.Addr)
@@ -371,14 +342,13 @@ func (e *Engine) releaseHeldAck(node int, addr uint64) {
 // serializes here, after the grant that followed the full teardown.
 func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
-	e.debugf(msg.Addr, "finishWrite at n%d", node)
 	if !e.hasBug(BugAcceptStaleReply) && e.m.DropStaleReply(node, msg) {
 		e.dropStale(node, msg)
 		return
 	}
 	v := e.m.Check.CommitWrite(msg.Addr, node, now)
 	if line, ok := e.trees[node].Peek(msg.Addr); ok && !line.Touched && line.OutstandingReq {
-		e.m.InstallLine(node, msg.Addr, protocol.Modified, v, now)
+		e.m.InstallLine(node, msg.Addr, protocol.Modified, v)
 		line.LocalValid = true
 		line.OutstandingReq = false
 	} else {
@@ -408,14 +378,14 @@ func (e *Engine) OnL2Evict(node int, addr uint64, dl protocol.DataLine, now int6
 	if !line.IsRoot || line.Touched {
 		return
 	}
-	e.setRootData(addr, dl.Version)
+	e.rootData[addr] = dl.Version
 	for _, p := range e.processTeardown(node, addr, network.DirNone, false) {
 		e.m.Mesh.Spawn(node, p, now)
 	}
 }
 
 // Quiesced implements protocol.Engine.
-func (e *Engine) Quiesced() bool { return atomic.LoadInt64(&e.queued) == 0 }
+func (e *Engine) Quiesced() bool { return e.queued == 0 }
 
 // MetricsGauges implements metrics.GaugeSource: total live tree-cache lines
 // across all routers, and the queued-request backlog (home queue + pending
@@ -424,7 +394,7 @@ func (e *Engine) MetricsGauges() (occupancy, queueDepth int) {
 	for _, t := range e.trees {
 		occupancy += t.Len()
 	}
-	return occupancy, int(atomic.LoadInt64(&e.queued))
+	return occupancy, int(e.queued)
 }
 
 // --- pending / home-queue management -----------------------------------
@@ -443,7 +413,7 @@ func (e *Engine) setPending(addr uint64) {
 func (e *Engine) queueOnPending(addr uint64, msg *protocol.Msg) {
 	p := e.pending[e.home(addr)]
 	p[addr] = append(p[addr], msg)
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 }
 
 func (e *Engine) releasePending(addr uint64, home int) {
@@ -455,7 +425,7 @@ func (e *Engine) releasePending(addr uint64, home int) {
 	delete(p, addr)
 	now := e.m.Kernel.Now()
 	for _, w := range waiters {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.m.Mesh.Spawn(home, e.packet(home, w), now)
 	}
 }
@@ -464,7 +434,7 @@ func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 	home := e.home(addr)
 	q := e.homeQueue[home]
 	q[addr] = append(q[addr], msg)
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvHomeQueued, int16(home), addr, int64(msg.Requester))
 }
 
@@ -473,11 +443,11 @@ func (e *Engine) queueAtHome(addr uint64, msg *protocol.Msg) {
 // release requests queued behind the teardown.
 func (e *Engine) teardownComplete(addr uint64) {
 	home := e.home(addr)
-	e.debugf(addr, "teardownComplete home=n%d queued=%d", home, len(e.homeQueue[home][addr]))
 	now := e.m.Kernel.Now()
-	if v, ok := e.takeRootData(addr); ok {
+	if v, ok := e.rootData[addr]; ok {
+		delete(e.rootData, addr)
 		if e.m.Cfg.VictimCaching {
-			e.m.InstallLine(home, addr, protocol.Shared, v, now)
+			e.m.InstallLine(home, addr, protocol.Shared, v)
 		}
 	}
 	e.m.Counters.Inc("tree.teardowns_completed", 1)
@@ -491,7 +461,7 @@ func (e *Engine) teardownComplete(addr uint64) {
 	// has been waiting here, already routed); the rest serialize behind
 	// it on the pending marker.
 	first := waiters[0]
-	atomic.AddInt64(&e.queued, -1)
+	e.queued--
 	e.setPending(addr)
 	first.HomeServe = true
 	if e.m.Metrics != nil {
@@ -507,7 +477,7 @@ func (e *Engine) teardownComplete(addr uint64) {
 		}
 	})
 	for _, w := range waiters[1:] {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.queueOnPending(addr, w)
 	}
 }

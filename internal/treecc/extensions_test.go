@@ -85,7 +85,7 @@ func TestRandomizedStressProperty(t *testing.T) {
 		cfg.Replication = repl
 		p := trace.Benchmarks()[int(seed)%8]
 		tr := trace.Generate(p, 16, 80, uint64(seed)+1)
-		m, err := protocol.NewMachine(cfg, tr, 3)
+		m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: 3})
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestDeterminismProperty(t *testing.T) {
 	run := func() (float64, float64, int64) {
 		cfg := smallConfig()
 		tr := trace.Generate(p, 16, 250, 9)
-		m, err := protocol.NewMachine(cfg, tr, p.Think)
+		m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: p.Think})
 		if err != nil {
 			t.Fatal(err)
 		}

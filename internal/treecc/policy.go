@@ -1,9 +1,6 @@
 package treecc
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
@@ -14,24 +11,6 @@ import (
 // every router a packet visits.
 func (e *Engine) Route(r *network.Router, p *network.Packet, now int64) network.Steer {
 	msg := p.Payload.(*protocol.Msg)
-	if DebugAddr != 0 && msg.Addr == DebugAddr {
-		st := e.route(r, p, msg, now)
-		line, ok := e.trees[r.NodeID].Peek(msg.Addr)
-		e.debugf(msg.Addr, "route %s at n%d arr=%v req=%d -> out=%v consume=%v stall=%v spawns=%d line=%s",
-			msg.Type, r.NodeID, p.ArrivalDir, msg.Requester, st.Out, st.Consume, st.Stall, len(st.Spawn), describeLine(line, ok))
-		return st
-	}
-	return e.route(r, p, msg, now)
-}
-
-func describeLine(l *TreeLine, ok bool) string {
-	if !ok {
-		return "absent"
-	}
-	return fmt.Sprintf("links=%v root=%v isRoot=%v touched=%v lv=%v", l.Links, l.RootDir, l.IsRoot, l.Touched, l.LocalValid)
-}
-
-func (e *Engine) route(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
 	switch msg.Type {
 	case protocol.Teardown, protocol.TdAck:
 		return e.routeHop(r, p, msg)
@@ -102,11 +81,11 @@ func (e *Engine) consumeToBackoff(home int, msg *protocol.Msg) network.Steer {
 	delay := backoffDelay(uint64(cfg.Seed), msg.Addr, msg.Requester, now, cfg.BackoffMin, cfg.BackoffMax)
 	msg.Backoff = false
 	msg.DeadlockCycles += delay
-	atomic.AddInt64(&e.queued, 1)
+	e.queued++
 	e.m.Counters.Inc("tree.backoffs", 1)
 	e.m.Metrics.Event(now, metrics.EvBackoff, int16(home), msg.Addr, delay)
 	e.m.Defer(delay, func() {
-		atomic.AddInt64(&e.queued, -1)
+		e.queued--
 		e.m.Mesh.Spawn(home, e.packet(home, msg), e.m.Kernel.Now())
 	})
 	return network.Steer{Consume: true}
@@ -325,7 +304,7 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 		// the construction path's links are kept, so no dangling link
 		// can hang a later ack collapse.
 		if line.LocalValid {
-			e.m.InvalidateLine(n, addr, now)
+			e.m.InvalidateLine(n, addr)
 			line.LocalValid = false
 		}
 		for d := 0; d < e.deg; d++ {
@@ -415,7 +394,7 @@ func (e *Engine) replyAtRequester(r *network.Router, p *network.Packet, msg *pro
 			line.IsRoot = true
 			line.RootDir = network.DirNone
 			if line.LocalValid {
-				e.m.InvalidateLine(n, addr, now)
+				e.m.InvalidateLine(n, addr)
 				line.LocalValid = false
 			}
 			for d := 0; d < e.deg; d++ {

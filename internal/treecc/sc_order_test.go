@@ -17,7 +17,7 @@ func TestSequentialConsistencyTotalOrder(t *testing.T) {
 	tr := trace.Generate(p, 16, 400, 23)
 	cfg := protocol.DefaultConfig()
 	cfg.TreeEntries, cfg.TreeWays = 256, 2 // pressure: evictions + recoveries
-	m, err := protocol.NewMachine(cfg, tr, p.Think)
+	m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: p.Think})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,15 @@ func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, cle
 		arrival = network.DirNone
 	}
 	line.Touched = true
-	e.debugf(addr, "teardown touch n%d arrival=%v links=%v lv=%v isRoot=%v", node, arrival, line.Links, line.LocalValid, line.IsRoot)
 	e.m.Counters.Inc("tree.teardowns", 1)
 	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvTeardown, int16(node), addr, int64(line.LinkCount()))
 	// Invalidate the local data copy (D$: -> Invalid); the root's data is
 	// captured for victim caching at the home node.
 	if line.LocalValid && !e.hasBug(BugSkipInvalidate) {
-		dl, had := e.m.InvalidateLine(node, addr, e.m.Kernel.Now())
+		dl, had := e.m.InvalidateLine(node, addr)
 		line.LocalValid = false
 		if had && line.IsRoot {
-			e.setRootData(addr, dl.Version)
+			e.rootData[addr] = dl.Version
 		}
 	}
 	var spawns []*network.Packet
@@ -176,7 +175,6 @@ func (e *Engine) processAck(node int, addr uint64, arrival network.Dir, unlink b
 		}
 		line.Links[arrival] = false
 	}
-	e.debugf(addr, "ack at n%d arrival=%v links now %v", node, arrival, line.Links)
 	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
 		// Collapse is held until the local completion lands.
 		return nil

@@ -10,7 +10,7 @@ import (
 
 func runTrace(t *testing.T, cfg protocol.Config, tr *trace.Trace, think int64) (*protocol.Machine, *Engine) {
 	t.Helper()
-	m, err := protocol.NewMachine(cfg, tr, think)
+	m, err := protocol.Build(protocol.Spec{Config: cfg, Trace: tr, Think: think})
 	if err != nil {
 		t.Fatal(err)
 	}

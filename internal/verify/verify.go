@@ -19,21 +19,12 @@
 //     it must never observe an older version of that line.
 package verify
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Checker accumulates protocol-visible events and records violations.
 // Engines are required to report every data-cache line validation and
 // invalidation so the copy registry is exact.
-//
-// The mutex guards every map and list. It was added when checks could
-// fire from concurrent router ticks (sharer-serve read sampling, teardown
-// copy invalidation); the simulator is serial now, and whether to keep the
-// mutex is an open decision.
 type Checker struct {
-	mu        sync.Mutex
 	version   map[uint64]uint64       // committed version per line
 	copies    map[uint64]map[int]bool // valid cached copies per line
 	seen      map[nodeAddr]uint64     // last version observed per (node,line)
@@ -42,7 +33,7 @@ type Checker struct {
 
 	violations []string
 
-	// Reads and Writes count committed accesses (guarded by mu).
+	// Reads and Writes count committed accesses.
 	Reads, Writes int64
 }
 
@@ -80,22 +71,16 @@ func (c *Checker) fail(format string, args ...interface{}) {
 
 // Violations returns all recorded violations.
 func (c *Checker) Violations() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.violations
 }
 
 // Order returns the retained total order (empty unless keepOrder).
 func (c *Checker) Order() []AccessRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.order
 }
 
 // CurrentVersion returns the last committed version of addr.
 func (c *Checker) CurrentVersion(addr uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.version[addr]
 }
 
@@ -104,8 +89,6 @@ func (c *Checker) CurrentVersion(addr uint64) uint64 {
 // commits exactly once, the snapshot is a pure function of the access trace
 // and must be identical across coherence engines run over the same trace.
 func (c *Checker) VersionSnapshot() map[uint64]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make(map[uint64]uint64, len(c.version))
 	for a, v := range c.version {
 		out[a] = v
@@ -115,8 +98,6 @@ func (c *Checker) VersionSnapshot() map[uint64]uint64 {
 
 // RegisterCopy records that node now holds a valid cached copy of addr.
 func (c *Checker) RegisterCopy(addr uint64, node int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.copies[addr]
 	if m == nil {
 		m = make(map[int]bool)
@@ -127,8 +108,6 @@ func (c *Checker) RegisterCopy(addr uint64, node int) {
 
 // UnregisterCopy records that node's cached copy of addr is gone.
 func (c *Checker) UnregisterCopy(addr uint64, node int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if m := c.copies[addr]; m != nil {
 		delete(m, node)
 	}
@@ -136,8 +115,6 @@ func (c *Checker) UnregisterCopy(addr uint64, node int) {
 
 // Copies returns the nodes currently holding valid copies of addr.
 func (c *Checker) Copies(addr uint64) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []int
 	for n := range c.copies[addr] {
 		out = append(out, n)
@@ -149,8 +126,6 @@ func (c *Checker) Copies(addr uint64) []int {
 // single-writer invariant, and returns the new version the writer's line
 // must carry.
 func (c *Checker) CommitWrite(addr uint64, node int, now int64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for other := range c.copies[addr] {
 		if other != node {
 			c.fail("write commit to %#x by node %d while node %d holds a valid copy (cycle %d)", addr, node, other, now)
@@ -174,8 +149,6 @@ func (c *Checker) CommitWrite(addr uint64, node int, now int64) uint64 {
 // coherence check) and appends the read to the total order. sampled is the
 // version the reply will carry, memVersion main memory's current value.
 func (c *Checker) SampleRead(addr uint64, sampled, memVersion uint64, node int, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if sampled != memVersion {
 		c.fail("read of %#x for node %d sampled version %d but memory holds %d (cycle %d)", addr, node, sampled, memVersion, now)
 	}
@@ -192,8 +165,6 @@ func (c *Checker) SampleRead(addr uint64, sampled, memVersion uint64, node int, 
 // cached copy, which under the MSI invariant must hold the globally current
 // version, so staleness is checked strictly.
 func (c *Checker) ObserveRead(addr uint64, v uint64, node int, now int64, local bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	kv := nodeAddr{node, addr}
 	if last, ok := c.seen[kv]; ok && v < last {
 		c.fail("node %d observed version %d of %#x after having observed %d (cycle %d)", node, v, addr, last, now)
@@ -215,8 +186,6 @@ func (c *Checker) ObserveRead(addr uint64, v uint64, node int, now int64, local 
 // must return the version of the most recent preceding write in the order.
 // It returns the violations found (the order must have been retained).
 func (c *Checker) CheckOrderSC() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []string
 	cur := map[uint64]uint64{}
 	for i, r := range c.order {

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository check: build, vet, race-enabled tests, fuzz smoke passes over
+# Repository check: build, vet, a guard that the simulator packages import
+# no sync primitives, race-enabled tests, fuzz smoke passes over
 # the trace-file, fault-spec and job-submission parsers, a race-enabled
 # serve and coordinator CLI smoke, a race-enabled fault-injection
 # smoke (drop-plan recovery per engine + watchdog dump), a race-enabled
@@ -19,6 +20,21 @@ fi
 
 go build ./...
 go vet ./...
+
+# Ownership guard: a simulated machine and everything protocol.Build wires
+# into it run on one goroutine, so the simulator packages need no locks or
+# atomics. Concurrency lives only in exec (the job pool), serve and cluster
+# (the job services) and mcheck's parallel BFS; a sync or sync/atomic
+# import anywhere below means state is being shared it should not be.
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' \
+    ./internal/sim ./internal/network ./internal/protocol ./internal/treecc \
+    ./internal/directory ./internal/verify ./internal/stats ./internal/memory \
+    ./internal/metrics ./internal/fault ./internal/cache ./internal/trace \
+    ./internal/cacti | grep -E ' sync(/atomic)?( |$)'; then
+    echo "single-goroutine simulator package imports sync or sync/atomic" >&2
+    exit 1
+fi
+
 go test -race ./...
 
 # Fuzz smoke: a short randomized session over the trace-file parser on top
