@@ -377,7 +377,7 @@ func BenchmarkModelCheck(b *testing.B) {
 	var states int
 	for i := 0; i < b.N; i++ {
 		home, ops := mcheck.DefaultProgram()
-		res := mcheck.New(home, ops).Run()
+		res := mcheck.New(network.Mesh2D{W: 2, H: 2}, home, ops).Run()
 		if len(res.Violations)+len(res.Deadlocks) > 0 {
 			b.Fatalf("verification failed: %v", res)
 		}

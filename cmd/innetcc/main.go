@@ -450,7 +450,7 @@ func runMCheck(w io.Writer, _ experiments.Options) error {
 	}
 	home, ops := mcheck.DefaultProgram()
 	fmt.Fprintln(w, "Section 2.4 — exhaustive model checking of the reduced protocol")
-	c := mcheck.NewTopology(topo, home, ops)
+	c := mcheck.New(topo, home, ops)
 	c.Workers = workers
 	res := c.Run()
 	fmt.Fprintf(w, "program: 2 concurrent reads + 2 concurrent writes, home=%d, fabric %s, %d worker(s)\n",

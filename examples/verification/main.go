@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"innetcc/internal/mcheck"
+	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 	"innetcc/internal/trace"
 
@@ -32,8 +33,9 @@ func main() {
 		{"two concurrent writes", 0, []mcheck.Op{{Node: 1, Write: true}, {Node: 2, Write: true}}},
 		{"home node racing a remote writer", 0, []mcheck.Op{{Node: 0, Write: true}, {Node: 3, Write: true}}},
 	}
+	mesh := network.Mesh2D{W: 2, H: 2}
 	for _, prog := range programs {
-		res := mcheck.New(prog.home, prog.ops).Run()
+		res := mcheck.New(mesh, prog.home, prog.ops).Run()
 		status := "OK"
 		if len(res.Violations)+len(res.Deadlocks) > 0 {
 			status = "FAILED"
@@ -44,7 +46,7 @@ func main() {
 		}
 	}
 	home, ops := mcheck.DefaultProgram()
-	res := mcheck.New(home, ops).Run()
+	res := mcheck.New(mesh, home, ops).Run()
 	fmt.Printf("   %-34s %8d states (paper's Murφ bound: ~100k)\n",
 		"2 reads + 2 writes (paper's bound)", res.States)
 

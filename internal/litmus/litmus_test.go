@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"innetcc/internal/protocol"
+	"innetcc/internal/treecc"
 )
 
 // Line addresses used by the directed programs: addr n has home node n.
@@ -68,9 +69,9 @@ func TestCleanFaultCampaignPasses(t *testing.T) {
 	}
 }
 
-// bugCases is the litmus half of the seeded-mutation suite: the same seven
-// defects internal/mcheck's mutation table proves the model checker
-// catches, here proven caught by the full-simulator oracles. Each case
+// bugCases is the litmus half of the seeded-mutation suite: the same
+// treecc.Bug defects internal/mcheck's mutation table proves the model
+// checker catches, here proven caught by the full-simulator oracles. Each case
 // carries directed conflict programs (prelude reads on other lines stagger
 // issue times so the conflict lands in the vulnerable window) and the
 // fault string its defect needs (stale replies need retry armed; several
@@ -199,6 +200,22 @@ func findFailing(t *testing.T, bug, faults string, programs []Program, maxSeed u
 		}
 	}
 	return RunSpec{}, false
+}
+
+// TestBugCasesCoverEveryBug fails when a treecc.Bug has no directed case,
+// so a new engine defect cannot skip the litmus layer.
+func TestBugCasesCoverEveryBug(t *testing.T) {
+	for _, b := range treecc.AllBugs() {
+		n := 0
+		for _, tc := range bugCases {
+			if tc.bug == b.String() {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("bug %s has %d litmus cases, want 1", b, n)
+		}
+	}
 }
 
 // TestSeededBugsCaughtAndShrunk is the acceptance loop: every seeded

@@ -3,6 +3,9 @@ package mcheck
 import (
 	"runtime"
 	"testing"
+
+	"innetcc/internal/network"
+	"innetcc/internal/protocol"
 )
 
 // The old visited set keyed states by a freshly built string — one
@@ -14,29 +17,20 @@ import (
 // midState builds a state with live traffic so the hash walks non-empty
 // queues.
 func midState(c *Checker) *state {
-	s := &state{
-		lines: make([]treeLine, c.nodes),
-		data:  make([]int8, c.nodes),
-		dver:  make([]int8, c.nodes),
-		ops:   make([]opState, len(c.Ops)),
-		chans: make([][]msg, c.nodes*4),
-		nicq:  make([][]msg, c.nodes),
-	}
-	for n := 0; n < c.nodes; n++ {
-		s.lines[n].RootDir = dirNone
-	}
-	s.lines[c.Home] = treeLine{Valid: true, IsRoot: true, RootDir: dirNone, LocalV: true}
+	s := c.emptyState()
+	home := &s.lines[c.Home]
+	home.Valid, home.IsRoot, home.LocalValid = true, true, true
 	s.data[c.Home] = dShared
-	send(s, c.Home, dirS, msg{Type: mRdReply, Op: 0, Ver: 1})
-	send(s, 1, dirW, msg{Type: mWrReq, Op: 1})
-	s.nicq[c.Home] = append(s.nicq[c.Home], msg{Type: mWrReq, Op: 2})
-	s.homeq = append(s.homeq, msg{Type: mRdReq, Op: 0})
+	send(s, c.Home, network.South, msg{Type: protocol.RdReply, Op: 0, Ver: 1})
+	send(s, 1, network.West, msg{Type: protocol.WrReq, Op: 1})
+	s.nicq[c.Home] = append(s.nicq[c.Home], msg{Type: protocol.WrReq, Op: 2})
+	s.homeq = append(s.homeq, msg{Type: protocol.RdReq, Op: 0})
 	s.pend = true
 	return s
 }
 
 func TestCanonicalHashZeroAlloc(t *testing.T) {
-	c := NewMesh(3, 3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
+	c := New(mesh3x3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
 	c.nodes = 9
 	c.buildGroup()
 	if len(c.group) < 2 {
@@ -49,7 +43,7 @@ func TestCanonicalHashZeroAlloc(t *testing.T) {
 }
 
 func TestCanonicalHashDistinguishesStates(t *testing.T) {
-	c := New(0, []Op{{Node: 1}, {Node: 2, Write: true}, {Node: 3, Write: true}})
+	c := New(mesh2x2, 0, []Op{{Node: 1}, {Node: 2, Write: true}, {Node: 3, Write: true}})
 	c.nodes = 4
 	c.buildGroup()
 	s := midState(c)
@@ -60,7 +54,7 @@ func TestCanonicalHashDistinguishesStates(t *testing.T) {
 		t.Error("version change did not change the hash")
 	}
 	s3 := s.clone()
-	s3.chans[0*4+dirS][0].Ver = 2
+	(*s3.channel(0, network.South))[0].Ver = 2
 	if c.canonicalHash(s3) == h1 {
 		t.Error("in-flight message change did not change the hash")
 	}
@@ -71,32 +65,19 @@ func TestCanonicalHashDistinguishesStates(t *testing.T) {
 func TestCanonicalHashFoldsSymmetricStates(t *testing.T) {
 	// 3×3, home center; ops: reads at 1 and 7 (swapped by the Y flip),
 	// write at 3 (fixed by it).
-	c := NewMesh(3, 3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
+	c := New(mesh3x3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
 	c.nodes = 9
 	c.buildGroup()
-	empty := func() *state {
-		s := &state{
-			lines: make([]treeLine, c.nodes),
-			data:  make([]int8, c.nodes),
-			dver:  make([]int8, c.nodes),
-			ops:   make([]opState, len(c.Ops)),
-			chans: make([][]msg, c.nodes*4),
-			nicq:  make([][]msg, c.nodes),
-		}
-		for n := 0; n < c.nodes; n++ {
-			s.lines[n].RootDir = dirNone
-		}
-		return s
-	}
+	empty := c.emptyState
 	// State a: op 1 (the read at node 7) has its request in flight
 	// northward. Its Y-flip image is op 0 (the read at node 1) heading
 	// south — exactly state b.
 	a := empty()
 	a.ops[1].Phase = opInFlight
-	send(a, 7, dirN, msg{Type: mRdReq, Op: 1})
+	send(a, 7, network.North, msg{Type: protocol.RdReq, Op: 1})
 	b := empty()
 	b.ops[0].Phase = opInFlight
-	send(b, 1, dirS, msg{Type: mRdReq, Op: 0})
+	send(b, 1, network.South, msg{Type: protocol.RdReq, Op: 0})
 	if c.canonicalHash(a) != c.canonicalHash(b) {
 		t.Error("flip-symmetric states hash differently")
 	}
@@ -110,7 +91,7 @@ func TestCanonicalHashFoldsSymmetricStates(t *testing.T) {
 // with live queues; b.ReportAllocs pins the O(1)-per-state property (it
 // reports exactly 0 allocs/op, versus one string build per state before).
 func BenchmarkCanonicalHash(b *testing.B) {
-	c := NewMesh(3, 3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
+	c := New(mesh3x3, 4, []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}})
 	c.nodes = 9
 	c.buildGroup()
 	s := midState(c)
@@ -133,7 +114,7 @@ func BenchmarkBFSPerState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		home, ops := DefaultProgram()
-		c := New(home, ops)
+		c := New(mesh2x2, home, ops)
 		c.TraceEdges = false
 		res := c.Run()
 		states += res.Transitions

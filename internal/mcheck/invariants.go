@@ -1,6 +1,10 @@
 package mcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"innetcc/internal/network"
+)
 
 // Invariants checked in every reachable state, following the paper's Murφ
 // rules ("write operations to the same memory address must be observed in
@@ -88,24 +92,24 @@ func (c *Checker) checkTerminal(s *state) {
 		}
 		if t.IsRoot {
 			roots++
-		} else if t.RootDir == dirNone || !t.Links[t.RootDir] {
+		} else if t.RootDir == network.DirNone || !t.Links[t.RootDir] {
 			c.fail("terminal: n%d RootDir not a live link: %s", n, c.describe(s))
 		}
-		for d := 0; d < 4; d++ {
-			if !t.Links[d] {
+		for d, linked := range t.Links {
+			if !linked {
 				continue
 			}
-			nb := c.neighbor(n, d)
-			if nb < 0 || !s.lines[nb].Valid {
+			nb, ok := c.Topo.Neighbor(n, network.Dir(d))
+			if !ok || !s.lines[nb].Valid {
 				c.fail("terminal: n%d link %d dangles", n, d)
-			} else if !s.lines[nb].Links[c.arrival(d)] {
+			} else if !s.lines[nb].Links[c.Topo.Arrival(network.Dir(d))] {
 				// One-way tails are cleaned by unlink acks before
 				// quiescence; none may survive.
 				c.fail("terminal: asymmetric edge %d->%d: %s", n, nb, c.describe(s))
 			}
 		}
-		if t.LocalV != (s.data[n] != dInvalid) {
-			c.fail("terminal: n%d LocalV=%v but data state %d", n, t.LocalV, s.data[n])
+		if t.LocalValid != (s.data[n] != dInvalid) {
+			c.fail("terminal: n%d LocalValid=%v but data state %d", n, t.LocalValid, s.data[n])
 		}
 	}
 	if members > 0 {

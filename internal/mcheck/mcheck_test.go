@@ -4,7 +4,7 @@ import "testing"
 
 func check(t *testing.T, home int, ops []Op) Result {
 	t.Helper()
-	c := New(home, ops)
+	c := New(mesh2x2, home, ops)
 	res := c.Run()
 	t.Logf("%v", res)
 	for _, v := range res.Violations {

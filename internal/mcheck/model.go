@@ -13,15 +13,20 @@
 // recovery they require are outside the backbone being checked, exactly as
 // in the paper's Murφ spec.
 //
-// Unlike the paper's fixed 2×2 run, the fabric (any network.Topology —
-// mesh, torus or ring) and the concurrent op program are parameters of
-// Checker, states are deduplicated through a 64-bit canonical hash taken
-// as the minimum over the model's symmetry group (mesh axis flips that fix
-// the home node, composed with permutations of interchangeable ops; on
-// fabrics without a usable flip the group gracefully shrinks to the
-// op-permutation subgroup), and the BFS can fan a level out across worker
-// goroutines. Together these push exhaustive exploration from the paper's
-// 2×2 bound to 3×3 meshes with several concurrent ops.
+// The fabric (any network.Topology — mesh, torus or ring) and the
+// concurrent op program are parameters of Checker, states are deduplicated
+// through a 64-bit canonical hash taken as the minimum over the model's
+// symmetry group (mesh axis flips that fix the home node, composed with
+// permutations of interchangeable ops; on fabrics without a usable flip the
+// group gracefully shrinks to the op-permutation subgroup), and the BFS can
+// fan a level out across worker goroutines. Together these push exhaustive
+// exploration from the paper's 2×2 bound to 3×3 meshes with several
+// concurrent ops.
+//
+// The model speaks the engine's vocabulary: its lines are treecc.TreeLine
+// values, its messages carry protocol.MsgType, its ports are network.Dir,
+// and its seeded defects are treecc.Bug bits, so a bug the litmus fuzzer
+// arms on the engine is the same bug the checker injects here.
 package mcheck
 
 import (
@@ -30,55 +35,17 @@ import (
 	"sync"
 
 	"innetcc/internal/network"
+	"innetcc/internal/protocol"
+	"innetcc/internal/treecc"
 )
-
-// Directions, matching the full simulator's encoding: dirN..dirW are the
-// numeric values of network.North..West (a ring only uses the first two,
-// its CW/CCW ports), and dirNone equals int(network.Local).
-const (
-	dirN = iota
-	dirS
-	dirE
-	dirW
-	dirNone
-)
-
-// neighbor, arrival, routeTo and dist are the model's view of the fabric,
-// all answered by the Topology. dirNone (== int(network.Local)) flows
-// through unchanged: NextHop returns Local exactly at the destination.
-
-func (c *Checker) neighbor(n, d int) int {
-	nb, ok := c.Topo.Neighbor(n, network.Dir(d))
-	if !ok {
-		return -1
-	}
-	return nb
-}
-
-func (c *Checker) arrival(d int) int { return int(c.Topo.Arrival(network.Dir(d))) }
-
-func (c *Checker) routeTo(from, to int) int { return int(c.Topo.NextHop(from, to)) }
-
-func (c *Checker) dist(a, b int) int { return c.Topo.Dist(a, b) }
-
-// Message types.
-const (
-	mRdReq = iota
-	mRdReply
-	mWrReq
-	mWrReply
-	mTeardown
-	mTdAck
-)
-
-var msgNames = [...]string{"RD_REQ", "RD_REPLY", "WR_REQ", "WR_REPLY", "TEARDOWN", "TD_ACK"}
 
 // msg is a protocol message in flight. Op identifies the operation it
 // serves (-1 for teardowns/acks). Ver is the data version carried by read
-// replies. Root marks fresh-tree replies. Built mirrors the simulator's
-// BuiltLast.
+// replies. Root marks fresh-tree replies (the simulator's
+// RequesterIsRoot). Built mirrors the simulator's BuiltLast, and doubles
+// as the unlink flag on acks.
 type msg struct {
-	Type  int8
+	Type  protocol.MsgType
 	Op    int8
 	Ver   int8
 	Root  bool
@@ -88,35 +55,15 @@ type msg struct {
 	HomeServe bool
 }
 
-// treeLine is the reduced virtual tree cache line.
-type treeLine struct {
-	Valid    bool
-	Touched  bool
-	IsRoot   bool
-	RootDir  int8
-	Links    [4]bool
-	LocalV   bool // local data copy valid
-	Anchored bool // outstanding-request bit: a reply anchored this line
+// line is one node's tree cache entry for the model's single address: the
+// engine's TreeLine plus the tag match the engine's set lookup answers.
+type line struct {
+	treecc.TreeLine
+	Valid bool
 }
 
-func (t *treeLine) linkCount() int {
-	c := 0
-	for _, b := range t.Links {
-		if b {
-			c++
-		}
-	}
-	return c
-}
-
-func (t *treeLine) onlyLink() int {
-	for d, b := range t.Links {
-		if b {
-			return d
-		}
-	}
-	return dirNone
-}
+// emptyLine is a node that holds no tree for the address.
+var emptyLine = line{TreeLine: treecc.TreeLine{RootDir: network.DirNone}}
 
 // Data cache states.
 const (
@@ -145,18 +92,18 @@ type opState struct {
 	Sampled int8
 }
 
-// state is one global protocol state. Channels are FIFO per directed mesh
-// edge (flattened node*4+dir); nicq are the above-network service queues;
-// homeq holds requests queued at the home during teardown; pend marks the
-// home-serve serialization window.
+// state is one global protocol state. Channels are FIFO per directed link
+// (flattened node*network.MaxDegree+port); nicq are the above-network
+// service queues; homeq holds requests queued at the home during teardown;
+// pend marks the home-serve serialization window.
 type state struct {
-	lines []treeLine
+	lines []line
 	data  []int8 // dInvalid/dShared/dModified
 	dver  []int8
 	memV  int8
 	wrote int8 // committed writes so far
 	ops   []opState
-	chans [][]msg // outgoing FIFO, indexed node*4+dir
+	chans [][]msg // outgoing FIFO, indexed node*network.MaxDegree+port
 	nicq  [][]msg
 	homeq []msg // queued while the tree is being torn down
 	pendq []msg // queued while a home serve is in flight
@@ -165,7 +112,7 @@ type state struct {
 
 func (s *state) clone() *state {
 	c := &state{
-		lines: append([]treeLine(nil), s.lines...),
+		lines: append([]line(nil), s.lines...),
 		data:  append([]int8(nil), s.data...),
 		dver:  append([]int8(nil), s.dver...),
 		memV:  s.memV,
@@ -190,48 +137,11 @@ func (s *state) clone() *state {
 	return c
 }
 
-// Mutation is a bitmask of deliberate protocol bugs the checker can inject
-// into the model. Each one removes a protection the real protocol relies
-// on; the mutation test suite proves the exhaustive search detects every
-// one of them (the same role the paper's Murφ model played during protocol
-// design). The names pair 1:1 with internal/treecc's engine-side Bug bits
-// so the litmus fuzzer can assert the full simulator catches the same
-// seeded bugs.
-type Mutation uint32
-
-const (
-	// MutDropAckHold removes the outstanding-request acknowledgment hold:
-	// a touched line with a pending completion collapses immediately.
-	MutDropAckHold Mutation = 1 << iota
-	// MutAcceptStaleReply installs data from replies that arrive into a
-	// torn-down completion window (the model's rendering of accepting a
-	// reply from an abandoned reissue epoch). It removes both the anchor
-	// generation check and the acknowledgment hold that together close
-	// that window.
-	MutAcceptStaleReply
-	// MutDropTdAck silently drops TD_ACK messages at tree collapse.
-	MutDropTdAck
-	// MutEarlyHomeRelease completes the home's teardown — releasing the
-	// queued requests — before the subtree acknowledgments arrive (wrong
-	// teardown order).
-	MutEarlyHomeRelease
-	// MutSkipInvalidate leaves the local data copy valid when a teardown
-	// passes through a sharer.
-	MutSkipInvalidate
-	// MutLostWriteback drops the dirty version instead of folding it into
-	// memory when a Modified copy is invalidated.
-	MutLostWriteback
-	// MutDoubleGrant ignores the home-serve serialization window, letting
-	// the home serve a second request while one is already in flight.
-	MutDoubleGrant
-)
-
 // Result summarizes a model-checking run.
 type Result struct {
 	// States counts distinct canonical states discovered (after symmetry
-	// reduction); Canonical is an alias kept explicit for reports.
-	States    int
-	Canonical int
+	// reduction).
+	States int
 	// Explored counts states actually expanded (dequeued and given to the
 	// transition relation); it trails States only when the run stops early.
 	Explored int
@@ -253,16 +163,13 @@ type Result struct {
 
 // Checker runs the exploration.
 type Checker struct {
-	// Topo is the fabric the model routes over. When nil, Run builds a
-	// MeshW×MeshH mesh (the historical configuration surface); setting
-	// Topo directly (or using NewTopology) checks the protocol over any
-	// fabric — torus wraparound routes, ring two-port routers — with the
-	// same transition relation.
-	Topo         network.Topology
-	MeshW, MeshH int
-	Home         int
-	Ops          []Op
-	MaxStates    int
+	// Topo is the fabric the model routes over: any network.Topology,
+	// torus wraparound routes and ring two-port routers included, under
+	// the same transition relation.
+	Topo      network.Topology
+	Home      int
+	Ops       []Op
+	MaxStates int
 
 	// Workers fans each BFS level out across this many goroutines
 	// (<=1 explores serially). Results are merged in deterministic
@@ -278,14 +185,13 @@ type Checker struct {
 	// proportional to the state count; switch off for large runs.
 	TraceEdges bool
 
-	// DisableAckHold and DisableAnchor switch off two protocol
-	// protections (the outstanding-request acknowledgment hold and the
-	// completion anchor). They predate Mut and remain for compatibility;
-	// MutDropAckHold / MutAcceptStaleReply are the table-driven forms.
-	DisableAckHold bool
-	DisableAnchor  bool
-	// Mut injects the selected protocol bugs into the model.
-	Mut Mutation
+	// Bugs injects the selected seeded protocol defects into the model;
+	// zero is the clean protocol. Each bit removes the protection its
+	// treecc doc names, rendered on the reduced state; the model has no
+	// reissue epochs, so BugAcceptStaleReply installs a reply that lands
+	// in a torn-down completion window, which removes the anchor check and
+	// the acknowledgment hold that together close that window.
+	Bugs treecc.Bug
 
 	nodes      int
 	group      []symElem
@@ -293,28 +199,20 @@ type Checker struct {
 	deadlocks  []string
 }
 
-func (c *Checker) has(m Mutation) bool { return c.Mut&m != 0 }
+func (c *Checker) has(b treecc.Bug) bool { return c.Bugs&b != 0 }
 
+// ackHoldOff reports that the outstanding-request acknowledgment hold is
+// removed (see Bugs).
 func (c *Checker) ackHoldOff() bool {
-	return c.DisableAckHold || c.has(MutDropAckHold) || c.has(MutAcceptStaleReply)
+	return c.has(treecc.BugDropAckHold) || c.has(treecc.BugAcceptStaleReply)
 }
 
-func (c *Checker) anchorOff() bool {
-	return c.DisableAnchor || c.has(MutAcceptStaleReply)
-}
-
-// New returns a checker for the given concurrent program on the paper's
-// 2×2 mesh. home is the line's home node.
-func New(home int, ops []Op) *Checker {
-	return NewMesh(2, 2, home, ops)
-}
-
-// NewMesh returns a checker for a w×h mesh. Symmetry reduction and
-// counterexample traces are on by default; Workers defaults to serial.
-func NewMesh(w, h, home int, ops []Op) *Checker {
+// New returns a checker for the given concurrent program on topo; home is
+// the line's home node. Symmetry reduction and counterexample traces are
+// on by default; Workers defaults to serial.
+func New(topo network.Topology, home int, ops []Op) *Checker {
 	return &Checker{
-		MeshW:      w,
-		MeshH:      h,
+		Topo:       topo,
 		Home:       home,
 		Ops:        ops,
 		MaxStates:  2_000_000,
@@ -322,16 +220,6 @@ func NewMesh(w, h, home int, ops []Op) *Checker {
 		Symmetry:   true,
 		TraceEdges: true,
 	}
-}
-
-// NewTopology returns a checker over an arbitrary fabric, with the same
-// defaults as NewMesh. Symmetry reduction degrades gracefully: axis flips
-// apply only to meshes, so other fabrics canonicalize under op
-// permutations alone.
-func NewTopology(t network.Topology, home int, ops []Op) *Checker {
-	c := NewMesh(1, 1, home, ops)
-	c.Topo = t
-	return c
 }
 
 // DefaultProgram mirrors the paper's Murφ bound: concurrent reads on two
@@ -343,25 +231,6 @@ func DefaultProgram() (home int, ops []Op) {
 		{Node: 3, Write: true},
 		{Node: 1, Write: true},
 	}
-}
-
-// resolve materializes the fabric: a nil Topo becomes the MeshW×MeshH
-// mesh, and the mesh shape fields are re-derived from the topology for the
-// symmetry enumeration (a placeholder N×1 for non-mesh fabrics, whose axis
-// flips are disabled anyway). Idempotent; Run and buildGroup both call it.
-func (c *Checker) resolve() {
-	if c.Topo == nil {
-		if c.MeshW < 1 || c.MeshH < 1 {
-			panic("mcheck: empty mesh")
-		}
-		c.Topo = network.Mesh2D{W: c.MeshW, H: c.MeshH}
-	}
-	if m, ok := c.Topo.(network.Mesh2D); ok {
-		c.MeshW, c.MeshH = m.W, m.H
-	} else {
-		c.MeshW, c.MeshH = c.Topo.Nodes(), 1
-	}
-	c.nodes = c.Topo.Nodes()
 }
 
 // fstate is a frontier entry: the state plus its canonical hash (the
@@ -413,7 +282,7 @@ func (c *Checker) fail(format string, args ...interface{}) {
 // parallel; the merge into the visited set happens serially in frontier
 // order, so the result is independent of the worker count.
 func (c *Checker) Run() Result {
-	c.resolve()
+	c.nodes = c.Topo.Nodes()
 	if c.nodes < 1 {
 		panic("mcheck: empty fabric")
 	}
@@ -427,21 +296,7 @@ func (c *Checker) Run() Result {
 	}
 	c.buildGroup()
 
-	// Channel arrays stay network.MaxDegree wide on every fabric; ports a
-	// topology does not wire (a ring's slots 2 and 3) simply never carry
-	// messages, so the hash layout is degree-independent.
-	init := &state{
-		lines: make([]treeLine, c.nodes),
-		data:  make([]int8, c.nodes),
-		dver:  make([]int8, c.nodes),
-		ops:   make([]opState, len(c.Ops)),
-		chans: make([][]msg, c.nodes*4),
-		nicq:  make([][]msg, c.nodes),
-	}
-	for n := 0; n < c.nodes; n++ {
-		init.lines[n].RootDir = dirNone
-	}
-
+	init := c.emptyState()
 	visited := newHashSet(1 << 14)
 	h0 := c.canonicalHash(init)
 	visited.Add(h0)
@@ -450,21 +305,13 @@ func (c *Checker) Run() Result {
 		parents = map[uint64]edge{}
 	}
 
-	workers := c.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
 	res := Result{States: 1}
 	frontier := []fstate{{init, h0}}
 	for len(frontier) > 0 && len(c.violations) == 0 && !res.Truncated {
 		if len(frontier) > res.PeakFrontier {
 			res.PeakFrontier = len(frontier)
 		}
-		w := workers
-		if w > len(frontier) {
-			w = len(frontier)
-		}
+		w := min(max(c.Workers, 1), len(frontier))
 		outs := make([]workerOut, w)
 		if w == 1 {
 			outs[0] = c.expandChunk(frontier, visited, parents)
@@ -472,14 +319,8 @@ func (c *Checker) Run() Result {
 			var wg sync.WaitGroup
 			per := (len(frontier) + w - 1) / w
 			for i := 0; i < w; i++ {
-				lo := i * per
-				hi := lo + per
-				if lo > len(frontier) {
-					lo = len(frontier)
-				}
-				if hi > len(frontier) {
-					hi = len(frontier)
-				}
+				lo := min(i*per, len(frontier))
+				hi := min(lo+per, len(frontier))
 				wg.Add(1)
 				go func(i, lo, hi int) {
 					defer wg.Done()
@@ -521,7 +362,6 @@ func (c *Checker) Run() Result {
 		}
 		frontier = next
 	}
-	res.Canonical = res.States
 	res.Violations = c.violations
 	res.Deadlocks = c.deadlocks
 	return res
@@ -555,21 +395,24 @@ func (c *Checker) expandChunk(chunk []fstate, visited *hashSet, parents map[uint
 		}
 		return s
 	}
+	// traceSince appends the trace to h to every violation recorded
+	// from index pre on.
+	traceSince := func(pre int, h uint64) {
+		for i := pre; i < len(wc.violations); i++ {
+			wc.violations[i] += "\n  trace: " + trace(h)
+		}
+	}
 	for _, f := range chunk {
 		out.explored++
-		vpre := len(wc.violations)
+		pre := len(wc.violations)
 		succs := wc.successors(f.s)
-		for i := vpre; i < len(wc.violations); i++ {
-			wc.violations[i] += "\n  trace: " + trace(f.h)
-		}
+		traceSince(pre, f.h)
 		if len(succs) == 0 {
 			if wc.isTerminal(f.s) {
 				out.terminals++
-				tpre := len(wc.violations)
+				pre = len(wc.violations)
 				wc.checkTerminal(f.s)
-				for i := tpre; i < len(wc.violations); i++ {
-					wc.violations[i] += "\n  trace: " + trace(f.h)
-				}
+				traceSince(pre, f.h)
 			} else if len(wc.deadlocks) < maxDeadlocks {
 				wc.deadlocks = append(wc.deadlocks, wc.describe(f.s)+"\n  trace: "+trace(f.h))
 			}
@@ -592,6 +435,25 @@ func (c *Checker) expandChunk(chunk []fstate, visited *hashSet, parents map[uint
 	out.violations = wc.violations
 	out.deadlocks = wc.deadlocks
 	return out
+}
+
+// emptyState is the initial state: no trees, no copies, nothing issued.
+// Channel arrays stay network.MaxDegree wide on every fabric; ports a
+// topology does not wire (a ring's slots 2 and 3) simply never carry
+// messages, so the hash layout is degree-independent.
+func (c *Checker) emptyState() *state {
+	s := &state{
+		lines: make([]line, c.nodes),
+		data:  make([]int8, c.nodes),
+		dver:  make([]int8, c.nodes),
+		ops:   make([]opState, len(c.Ops)),
+		chans: make([][]msg, c.nodes*network.MaxDegree),
+		nicq:  make([][]msg, c.nodes),
+	}
+	for n := range s.lines {
+		s.lines[n] = emptyLine
+	}
+	return s
 }
 
 func (c *Checker) isTerminal(s *state) bool {
@@ -618,18 +480,18 @@ func (c *Checker) describe(s *state) string {
 	for n := 0; n < c.nodes; n++ {
 		t := &s.lines[n]
 		if t.Valid {
-			out += fmt.Sprintf("n%d{links=%v root=%d isRoot=%v touched=%v lv=%v} ", n, t.Links, t.RootDir, t.IsRoot, t.Touched, t.LocalV)
+			out += fmt.Sprintf("n%d{links=%v root=%v isRoot=%v touched=%v lv=%v} ", n, t.Links, t.RootDir, t.IsRoot, t.Touched, t.LocalValid)
 		}
 	}
 	var msgs []string
 	for n := 0; n < c.nodes; n++ {
-		for d := 0; d < 4; d++ {
-			for _, m := range s.chans[n*4+d] {
-				msgs = append(msgs, fmt.Sprintf("%s@%d->%d", msgNames[m.Type], n, d))
+		for d := network.Dir(0); d < network.MaxDegree; d++ {
+			for _, m := range *s.channel(n, d) {
+				msgs = append(msgs, fmt.Sprintf("%v@%d->%d", m.Type, n, d))
 			}
 		}
 		for _, m := range s.nicq[n] {
-			msgs = append(msgs, fmt.Sprintf("nic%d:%s", n, msgNames[m.Type]))
+			msgs = append(msgs, fmt.Sprintf("nic%d:%v", n, m.Type))
 		}
 	}
 	sort.Strings(msgs)

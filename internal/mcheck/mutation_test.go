@@ -1,85 +1,117 @@
 package mcheck
 
-import "testing"
+import (
+	"testing"
 
-// Mutation tests: injecting each deliberate protocol bug must make the
+	"innetcc/internal/network"
+	"innetcc/internal/treecc"
+)
+
+// Mutation tests: injecting each seeded protocol defect must make the
 // checker find a violation or deadlock — evidence that the exhaustive
 // search has the power to catch the races the protections close (the same
-// role the paper's Murφ model played during its protocol design). Each
-// Mut bit pairs with the engine-side treecc Bug bit of the same name; the
-// litmus suite (internal/litmus) asserts the full-simulator net catches
-// the same seeded bugs, so both verification layers are proven against
-// live faults, not just clean runs.
+// role the paper's Murφ model played during its protocol design). The
+// table is keyed by treecc.Bug, the same mask the litmus suite
+// (internal/litmus) arms on the full engine, so both verification layers
+// are proven against the same live faults, not just clean runs.
 
-// mutationTable is shared with checker_scale_test.go; each entry names the
-// program that exposes the bug fastest.
+// mesh2x2 is the paper's Murφ fabric.
+var mesh2x2 = network.Mesh2D{W: 2, H: 2}
+
+// mutationTable is shared with scale_test.go; each entry names the program
+// that exposes the bug fastest on mesh2x2, and pins the exploration that
+// catches it: canonical states discovered and the violation/deadlock split
+// (a bug whose signature is a wedged protocol shows as a deadlock rather
+// than a safety violation).
 var mutationTable = []struct {
-	name string
-	mut  Mutation
+	bug  treecc.Bug
 	home int
 	ops  []Op
-	// wantDeadlock marks bugs whose signature is a wedged protocol
-	// (caught as a deadlock / liveness failure) rather than a safety
-	// violation; either detection channel is accepted, the flag is
-	// documentation.
-	wantDeadlock bool
+
+	states, violations, deadlocks int
 }{
 	{
-		name: "drop-ack-hold",
-		mut:  MutDropAckHold,
+		bug:  treecc.BugDropAckHold,
 		home: 0,
 		ops:  []Op{{Node: 1, Write: true}, {Node: 2, Write: true}},
+
+		states: 60, violations: 2,
 	},
 	{
-		name: "accept-stale-reply",
-		mut:  MutAcceptStaleReply,
+		bug:  treecc.BugAcceptStaleReply,
 		home: 0,
 		ops:  []Op{{Node: 0, Write: true}, {Node: 3, Write: true}},
+
+		states: 51, violations: 4,
 	},
 	{
-		name:         "drop-td-ack",
-		mut:          MutDropTdAck,
-		home:         0,
-		ops:          []Op{{Node: 1, Write: false}, {Node: 2, Write: true}},
-		wantDeadlock: true,
-	},
-	{
-		name: "early-home-release",
-		mut:  MutEarlyHomeRelease,
-		home: 0,
-		ops:  []Op{{Node: 1, Write: false}, {Node: 2, Write: true}, {Node: 3, Write: true}},
-	},
-	{
-		name: "skip-invalidate",
-		mut:  MutSkipInvalidate,
+		bug:  treecc.BugDropTdAck,
 		home: 0,
 		ops:  []Op{{Node: 1, Write: false}, {Node: 2, Write: true}},
+
+		states: 37, deadlocks: 1,
 	},
 	{
-		name: "lost-writeback",
-		mut:  MutLostWriteback,
+		bug:  treecc.BugEarlyHomeRelease,
+		home: 0,
+		ops:  []Op{{Node: 1, Write: false}, {Node: 2, Write: true}, {Node: 3, Write: true}},
+
+		states: 385, violations: 3,
+	},
+	{
+		bug:  treecc.BugSkipInvalidate,
+		home: 0,
+		ops:  []Op{{Node: 1, Write: false}, {Node: 2, Write: true}},
+
+		states: 46, violations: 2,
+	},
+	{
+		bug:  treecc.BugLostWriteback,
 		home: 0,
 		ops:  []Op{{Node: 1, Write: true}, {Node: 2, Write: false}},
+
+		states: 35, violations: 2,
 	},
 	{
-		name: "double-grant",
-		mut:  MutDoubleGrant,
+		bug:  treecc.BugDoubleGrant,
 		home: 0,
 		ops:  []Op{{Node: 1, Write: true}, {Node: 2, Write: true}},
+
+		states: 68, violations: 8,
 	},
+}
+
+// TestMutationTableCoversEveryBug fails when a treecc.Bug has no program in
+// the seeded-bug table, so a new engine defect cannot skip the model layer.
+func TestMutationTableCoversEveryBug(t *testing.T) {
+	for _, b := range treecc.AllBugs() {
+		n := 0
+		for _, tc := range mutationTable {
+			if tc.bug == b {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("bug %s has %d mutation-table entries, want 1", b, n)
+		}
+	}
 }
 
 func TestCheckerCatchesSeededMutations(t *testing.T) {
 	for _, tc := range mutationTable {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.home, tc.ops)
-			c.Mut = tc.mut
+		t.Run(tc.bug.String(), func(t *testing.T) {
+			c := New(mesh2x2, tc.home, tc.ops)
+			c.Bugs = tc.bug
 			res := c.Run()
 			if res.Truncated {
 				t.Fatalf("state space truncated at %d states", res.States)
 			}
 			if len(res.Violations)+len(res.Deadlocks) == 0 {
-				t.Fatalf("mutation %s went undetected: %v", tc.name, res)
+				t.Fatalf("bug %s went undetected: %v", tc.bug, res)
+			}
+			if res.States != tc.states || len(res.Violations) != tc.violations || len(res.Deadlocks) != tc.deadlocks {
+				t.Errorf("exploration drifted: %v, want states=%d violations=%d deadlocks=%d",
+					res, tc.states, tc.violations, tc.deadlocks)
 			}
 			t.Logf("detected (%d violations, %d deadlocks): %v", len(res.Violations), len(res.Deadlocks), res)
 			if len(res.Violations) > 0 {
@@ -92,16 +124,16 @@ func TestCheckerCatchesSeededMutations(t *testing.T) {
 	}
 }
 
-// TestCleanModelRejectsNoMutation pins the other half of the mutation
+// TestCleanModelPassesMutationPrograms pins the other half of the mutation
 // argument: the exact programs that expose each bug pass cleanly when the
 // bug is absent, so detection is attributable to the mutation alone.
 func TestCleanModelPassesMutationPrograms(t *testing.T) {
 	for _, tc := range mutationTable {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.home, tc.ops)
+		t.Run(tc.bug.String(), func(t *testing.T) {
+			c := New(mesh2x2, tc.home, tc.ops)
 			res := c.Run()
 			if len(res.Violations)+len(res.Deadlocks) > 0 {
-				t.Fatalf("clean run of %s program failed: %v\n%v\n%v", tc.name, res, res.Violations, res.Deadlocks)
+				t.Fatalf("clean run of %s program failed: %v\n%v\n%v", tc.bug, res, res.Violations, res.Deadlocks)
 			}
 			if res.Terminals == 0 {
 				t.Fatal("no terminal state")
@@ -110,37 +142,11 @@ func TestCleanModelPassesMutationPrograms(t *testing.T) {
 	}
 }
 
-// The two legacy toggle fields keep working (they predate Mut).
-func TestCheckerCatchesMissingAckHold(t *testing.T) {
-	c := New(0, []Op{{Node: 1, Write: true}, {Node: 2, Write: true}})
-	c.DisableAckHold = true
-	res := c.Run()
-	if len(res.Violations)+len(res.Deadlocks) == 0 {
-		t.Fatal("removing the acknowledgment hold went undetected")
-	}
-	t.Logf("detected: %v", res)
-}
-
-func TestCheckerCatchesMissingAnchorAndHold(t *testing.T) {
-	// The anchor (generation check at install) and the acknowledgment
-	// hold protect the same completion window from different sides;
-	// with the hold present the anchor alone is redundant, so the
-	// mutation removes both.
-	c := New(0, []Op{{Node: 0, Write: true}, {Node: 3, Write: true}})
-	c.DisableAnchor = true
-	c.DisableAckHold = true
-	res := c.Run()
-	if len(res.Violations)+len(res.Deadlocks) == 0 {
-		t.Fatal("removing anchor + hold went undetected")
-	}
-	t.Logf("detected: %v", res)
-}
-
 func TestThreeWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
 	}
-	c := New(1, []Op{{Node: 0, Write: true}, {Node: 2, Write: true}, {Node: 3, Write: true}})
+	c := New(mesh2x2, 1, []Op{{Node: 0, Write: true}, {Node: 2, Write: true}, {Node: 3, Write: true}})
 	res := c.Run()
 	t.Logf("%v", res)
 	for _, v := range res.Violations {
@@ -160,7 +166,7 @@ func TestMixedFourOpsEveryHome(t *testing.T) {
 	}
 	n := 4
 	for home := 0; home < n; home++ {
-		c := New(home, []Op{
+		c := New(mesh2x2, home, []Op{
 			{Node: (home + 1) % n, Write: false},
 			{Node: (home + 2) % n, Write: true},
 			{Node: (home + 3) % n, Write: false},

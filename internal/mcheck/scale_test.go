@@ -3,7 +3,12 @@ package mcheck
 import (
 	"runtime"
 	"testing"
+
+	"innetcc/internal/network"
 )
+
+// mesh3x3 hosts the production-scale runs, its center node as home.
+var mesh3x3 = network.Mesh2D{W: 3, H: 3}
 
 // The production-scale runs: exhaustive exploration of a 3×3 mesh — a
 // configuration the paper's Murφ spec never checked and the pre-rewrite
@@ -16,7 +21,7 @@ import (
 // it; this particular program pins the group to the identity, making the
 // counts comparable with the unreduced search.
 func TestExhaustive3x3(t *testing.T) {
-	c := NewMesh(3, 3, 4, []Op{
+	c := New(mesh3x3, 4, []Op{
 		{Node: 1}, {Node: 7},
 		{Node: 3, Write: true}, {Node: 5, Write: true}, {Node: 0, Write: true},
 	})
@@ -37,11 +42,9 @@ func TestExhaustive3x3(t *testing.T) {
 	if res.Terminals == 0 {
 		t.Error("no terminal state reached")
 	}
-	if res.States < 100_000 {
-		t.Errorf("state space unexpectedly small: %d", res.States)
-	}
-	if res.Canonical != res.States || res.PeakFrontier == 0 || res.Explored != res.States {
-		t.Errorf("inconsistent bookkeeping: %+v", res)
+	if res.States != 131_540 || res.Transitions != 337_316 || res.PeakFrontier != 7_332 ||
+		res.Terminals != 484 || res.Explored != res.States {
+		t.Errorf("exploration drifted from 131540 states / 337316 transitions / peak 7332 / 484 terminals: %v", res)
 	}
 }
 
@@ -57,7 +60,7 @@ func TestScale3x3SixOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too large under the race detector")
 	}
-	c := NewMesh(3, 3, 4, []Op{
+	c := New(mesh3x3, 4, []Op{
 		{Node: 1}, {Node: 7}, {Node: 3}, {Node: 5},
 		{Node: 0, Write: true}, {Node: 8, Write: true},
 	})
@@ -75,8 +78,9 @@ func TestScale3x3SixOps(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated")
 	}
-	if res.States < 1_000_000 {
-		t.Errorf("expected >1M canonical states, got %d", res.States)
+	if res.States != 1_274_792 || res.Transitions != 4_189_807 || res.PeakFrontier != 60_929 ||
+		res.Terminals != 292 {
+		t.Errorf("exploration drifted from 1274792 states / 4189807 transitions / peak 60929 / 292 terminals: %v", res)
 	}
 }
 
@@ -86,7 +90,7 @@ func TestScale3x3SixOps(t *testing.T) {
 func TestSymmetryReduction(t *testing.T) {
 	ops := []Op{{Node: 1}, {Node: 7}, {Node: 3, Write: true}, {Node: 5, Write: true}}
 	run := func(sym bool) Result {
-		c := NewMesh(3, 3, 4, ops)
+		c := New(mesh3x3, 4, ops)
 		c.Symmetry = sym
 		c.TraceEdges = false
 		res := c.Run()
@@ -105,6 +109,12 @@ func TestSymmetryReduction(t *testing.T) {
 	if reduced.States*3 >= full.States {
 		t.Errorf("symmetry reduction too weak: %d canonical vs %d raw states", reduced.States, full.States)
 	}
+	if full.States != 4798 || full.Transitions != 10_468 || full.Terminals != 40 {
+		t.Errorf("unreduced exploration drifted from 4798 / 10468 / 40: %v", full)
+	}
+	if reduced.States != 1279 || reduced.Transitions != 2832 || reduced.Terminals != 13 {
+		t.Errorf("reduced exploration drifted from 1279 / 2832 / 13: %v", reduced)
+	}
 }
 
 // TestParallelBFSDeterministic pins that the level-synchronous merge makes
@@ -116,7 +126,7 @@ func TestParallelBFSDeterministic(t *testing.T) {
 	home, ops := DefaultProgram()
 	var base Result
 	for i, workers := range []int{1, 2, 8} {
-		c := New(home, ops)
+		c := New(mesh2x2, home, ops)
 		c.Workers = workers
 		c.TraceEdges = false
 		res := c.Run()
@@ -125,7 +135,7 @@ func TestParallelBFSDeterministic(t *testing.T) {
 		}
 		if i == 0 {
 			base = res
-			if res.States != 3397 || res.Transitions != 6958 {
+			if res.States != 3397 || res.Transitions != 6958 || res.PeakFrontier != 267 || res.Terminals != 34 {
 				t.Errorf("counts drifted from the pre-rewrite checker: %v", res)
 			}
 			continue
@@ -143,13 +153,13 @@ func TestParallelBFSDeterministic(t *testing.T) {
 // reduction must never canonicalize a counterexample away.
 func TestMutationsDetectedWithSymmetryAndWorkers(t *testing.T) {
 	for _, tc := range mutationTable {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.home, tc.ops)
-			c.Mut = tc.mut
+		t.Run(tc.bug.String(), func(t *testing.T) {
+			c := New(mesh2x2, tc.home, tc.ops)
+			c.Bugs = tc.bug
 			c.Workers = 4
 			res := c.Run()
 			if len(res.Violations)+len(res.Deadlocks) == 0 {
-				t.Fatalf("mutation %s went undetected: %v", tc.name, res)
+				t.Fatalf("bug %s went undetected: %v", tc.bug, res)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ import "innetcc/internal/network"
 // reflections are *not* automorphisms of the transition relation; the axis
 // flips are (they swap E↔W or N↔S wholesale, which commutes with "route X
 // first"), provided they fix the home node, since Checker.Home names a
-// concrete node. The closer() tie-break (N,S before E,W) is also
+// concrete node. The TreeLine.CloserLink tie-break (N,S before E,W) is also
 // flip-invariant: a strictly-closer candidate set holds at most one
 // vertical and one horizontal direction, and flips preserve the classes.
 // On top of each valid flip σ, every op-index permutation π with
@@ -31,7 +31,7 @@ import "innetcc/internal/network"
 // index o appearing inside a message encodes as opEnc[o].
 type symElem struct {
 	node  []int32
-	dir   [5]int8
+	dir   [network.DirNone + 1]network.Dir
 	opInv []int8
 	opEnc []int8
 }
@@ -43,20 +43,12 @@ type symElem struct {
 const groupCap = 256
 
 func (c *Checker) buildGroup() {
-	c.resolve()
 	identityOnly := func() []symElem {
-		g := c.newElem()
-		for n := range g.node {
-			g.node[n] = int32(n)
+		perm := make([]int8, len(c.Ops))
+		for i := range perm {
+			perm[i] = int8(i)
 		}
-		for d := range g.dir {
-			g.dir[d] = int8(d)
-		}
-		for i := range g.opInv {
-			g.opInv[i] = int8(i)
-			g.opEnc[i] = int8(i)
-		}
-		return []symElem{g}
+		return []symElem{c.makeElem(func(n int) int { return n }, false, false, perm)}
 	}
 	if !c.Symmetry {
 		c.group = identityOnly()
@@ -67,13 +59,13 @@ func (c *Checker) buildGroup() {
 	// the torus tie-break (exact half-way distances route East/South) and
 	// the ring tie-break (clockwise) both pick a handedness a flip would
 	// reverse. Other fabrics keep the op-permutation subgroup.
-	_, isMesh := c.Topo.(network.Mesh2D)
-	full := c.enumerate(isMesh)
+	mesh, isMesh := c.Topo.(network.Mesh2D)
+	full := c.enumerate(mesh, isMesh)
 	if len(full) <= groupCap {
 		c.group = full
 		return
 	}
-	opsOnly := c.enumerate(false)
+	opsOnly := c.enumerate(mesh, false)
 	if len(opsOnly) <= groupCap {
 		c.group = opsOnly
 		return
@@ -81,40 +73,35 @@ func (c *Checker) buildGroup() {
 	c.group = identityOnly()
 }
 
-func (c *Checker) newElem() symElem {
-	return symElem{
-		node:  make([]int32, c.nodes),
-		opInv: make([]int8, len(c.Ops)),
-		opEnc: make([]int8, len(c.Ops)),
-	}
-}
-
 // enumerate builds every (flip, op-permutation) automorphism; withFlips
-// false restricts to the identity flip (the op-permutation subgroup).
-func (c *Checker) enumerate(withFlips bool) []symElem {
+// false restricts to the identity flip (the op-permutation subgroup), and
+// mesh is only read when flips are on.
+func (c *Checker) enumerate(mesh network.Mesh2D, withFlips bool) []symElem {
 	var out []symElem
-	hx, hy := c.Home%c.MeshW, c.Home/c.MeshW
 	for _, f := range [4][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		fx, fy := f[0], f[1]
 		if (fx || fy) && !withFlips {
 			continue
 		}
 		// The flip must fix the home node.
-		if fx && 2*hx != c.MeshW-1 {
+		if fx && 2*(c.Home%mesh.W) != mesh.W-1 {
 			continue
 		}
-		if fy && 2*hy != c.MeshH-1 {
+		if fy && 2*(c.Home/mesh.W) != mesh.H-1 {
 			continue
 		}
 		sigma := func(n int) int {
-			x, y := n%c.MeshW, n/c.MeshW
+			if !fx && !fy {
+				return n
+			}
+			x, y := n%mesh.W, n/mesh.W
 			if fx {
-				x = c.MeshW - 1 - x
+				x = mesh.W - 1 - x
 			}
 			if fy {
-				y = c.MeshH - 1 - y
+				y = mesh.H - 1 - y
 			}
-			return y*c.MeshW + x
+			return y*mesh.W + x
 		}
 		// Image of each op under σ; π must map op i to an identical op at
 		// the image node.
@@ -155,18 +142,22 @@ func (c *Checker) enumerate(withFlips bool) []symElem {
 // makeElem freezes one automorphism into encoder tables. perm is π
 // (original op index → image op index); sigma maps nodes forward.
 func (c *Checker) makeElem(sigma func(int) int, fx, fy bool, perm []int8) symElem {
-	g := c.newElem()
+	g := symElem{
+		node:  make([]int32, c.nodes),
+		opInv: make([]int8, len(perm)),
+		opEnc: make([]int8, len(perm)),
+	}
 	for n := 0; n < c.nodes; n++ {
 		g.node[sigma(n)] = int32(n) // node[σ(u)] = u
 	}
-	for d := 0; d < 5; d++ {
-		g.dir[d] = int8(d)
+	for d := range g.dir {
+		g.dir[d] = network.Dir(d)
 	}
 	if fy {
-		g.dir[dirN], g.dir[dirS] = dirS, dirN
+		g.dir[network.North], g.dir[network.South] = network.South, network.North
 	}
 	if fx {
-		g.dir[dirE], g.dir[dirW] = dirW, dirE
+		g.dir[network.East], g.dir[network.West] = network.West, network.East
 	}
 	for i := range perm {
 		g.opEnc[i] = perm[i]
@@ -232,16 +223,16 @@ func (c *Checker) hashUnder(s *state, g *symElem) uint64 {
 		if t.IsRoot {
 			flags |= 4
 		}
-		if t.LocalV {
+		if t.LocalValid {
 			flags |= 8
 		}
-		if t.Anchored {
+		if t.OutstandingReq {
 			flags |= 16
 		}
 		f.b(flags)
 		f.b(byte(g.dir[t.RootDir]))
 		var lb byte
-		for d := 0; d < 4; d++ {
+		for d := 0; d < network.MaxDegree; d++ {
 			if t.Links[g.dir[d]] {
 				lb |= 1 << d
 			}
@@ -278,8 +269,8 @@ func (c *Checker) hashUnder(s *state, g *symElem) uint64 {
 	}
 	for n := 0; n < c.nodes; n++ {
 		u := g.node[n]
-		for d := 0; d < 4; d++ {
-			encQ(s.chans[int(u)*4+int(g.dir[d])])
+		for d := 0; d < network.MaxDegree; d++ {
+			encQ(*s.channel(int(u), g.dir[d]))
 		}
 		encQ(s.nicq[u])
 	}

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"innetcc/internal/network"
+	"innetcc/internal/treecc"
 )
 
 func checkTopo(t *testing.T, topo network.Topology, home int, ops []Op) Result {
 	t.Helper()
-	c := NewTopology(topo, home, ops)
+	c := New(topo, home, ops)
 	res := c.Run()
 	t.Logf("%s: %v", topo.Spec(), res)
 	for _, v := range res.Violations {
@@ -56,12 +57,12 @@ func TestFabricsPaperProgram(t *testing.T) {
 func TestFabricsCatchMutations(t *testing.T) {
 	ops := []Op{{Node: 1, Write: false}, {Node: 2, Write: true}, {Node: 3, Write: true}}
 	for _, topo := range []network.Topology{network.Ring{N: 4}, network.Torus2D{W: 2, H: 2}} {
-		for _, mut := range []Mutation{MutDropTdAck, MutSkipInvalidate, MutLostWriteback, MutDoubleGrant} {
-			c := NewTopology(topo, 0, ops)
-			c.Mut = mut
+		for _, bug := range []treecc.Bug{treecc.BugDropTdAck, treecc.BugSkipInvalidate, treecc.BugLostWriteback, treecc.BugDoubleGrant} {
+			c := New(topo, 0, ops)
+			c.Bugs = bug
 			res := c.Run()
 			if len(res.Violations) == 0 && len(res.Deadlocks) == 0 {
-				t.Errorf("%s: mutation %#x went undetected (%d states)", topo.Spec(), mut, res.States)
+				t.Errorf("%s: bug %s went undetected (%d states)", topo.Spec(), bug, res.States)
 			}
 		}
 	}
@@ -73,7 +74,7 @@ func TestFabricsCatchMutations(t *testing.T) {
 func TestFabricSymmetryFallback(t *testing.T) {
 	ops := []Op{{Node: 1, Write: false}, {Node: 3, Write: false}, {Node: 2, Write: true}}
 	run := func(sym bool) Result {
-		c := NewTopology(network.Ring{N: 4}, 0, ops)
+		c := New(network.Ring{N: 4}, 0, ops)
 		c.Symmetry = sym
 		return c.Run()
 	}

@@ -1,6 +1,12 @@
 package mcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"innetcc/internal/network"
+	"innetcc/internal/protocol"
+	"innetcc/internal/treecc"
+)
 
 // The transition relation of the reduced protocol. Each successor applies
 // exactly one atomic event to a clone of the state:
@@ -16,9 +22,10 @@ import "fmt"
 // Router processing is a faithful port of internal/treecc's Route /
 // processTeardown / processAck logic minus the capacity machinery (no
 // conflict evictions, so no stalls and no timeout recovery), which matches
-// the backbone the paper verified in Murφ. The Mut hooks inject the
-// deliberate bugs of the mutation suite; with Mut == 0 the relation is the
-// clean protocol.
+// the backbone the paper verified in Murφ. Grafting replies pick their
+// next hop with the engine's own TreeLine.CloserLink. The Bugs hooks
+// inject the seeded defects of the mutation suite; with Bugs == 0 the
+// relation is the clean protocol.
 
 // succ is one labeled transition.
 type succ struct {
@@ -61,26 +68,27 @@ func (c *Checker) successors(s *state) []succ {
 			out = append(out, succ{ns, fmt.Sprintf("localhit op%d", i)})
 			continue
 		}
-		t := int8(mRdReq)
+		t := protocol.RdReq
 		if op.Write {
-			t = mWrReq
+			t = protocol.WrReq
 		}
-		c.route(ns, op.Node, msg{Type: t, Op: int8(i)}, dirNone)
+		c.route(ns, op.Node, msg{Type: t, Op: int8(i)}, network.Local)
 		out = append(out, succ{ns, fmt.Sprintf("issue op%d@n%d", i, op.Node)})
 	}
 
 	// 2. Channel deliveries.
 	for n := 0; n < c.nodes; n++ {
-		for d := 0; d < 4; d++ {
-			if len(s.chans[n*4+d]) == 0 {
+		for d := network.Dir(0); d < network.MaxDegree; d++ {
+			if len(*s.channel(n, d)) == 0 {
 				continue
 			}
-			nb := c.neighbor(n, d)
+			nb, _ := c.Topo.Neighbor(n, d)
 			ns := s.clone()
-			m := ns.chans[n*4+d][0]
-			ns.chans[n*4+d] = ns.chans[n*4+d][1:]
-			c.route(ns, nb, m, c.arrival(d))
-			out = append(out, succ{ns, fmt.Sprintf("dlv %s %d->%d", msgNames[m.Type], n, nb)})
+			q := ns.channel(n, d)
+			m := (*q)[0]
+			*q = (*q)[1:]
+			c.route(ns, nb, m, c.Topo.Arrival(d))
+			out = append(out, succ{ns, fmt.Sprintf("dlv %v %d->%d", m.Type, n, nb)})
 		}
 	}
 
@@ -93,28 +101,34 @@ func (c *Checker) successors(s *state) []succ {
 		m := ns.nicq[n][0]
 		ns.nicq[n] = ns.nicq[n][1:]
 		c.nicServe(ns, n, m)
-		out = append(out, succ{ns, fmt.Sprintf("nic %s@n%d", msgNames[m.Type], n)})
+		out = append(out, succ{ns, fmt.Sprintf("nic %v@n%d", m.Type, n)})
 	}
 	return out
 }
 
-func send(s *state, node, dir int, m msg) {
-	s.chans[node*4+dir] = append(s.chans[node*4+dir], m)
+// channel is the FIFO leaving node through port d.
+func (s *state) channel(node int, d network.Dir) *[]msg {
+	return &s.chans[node*network.MaxDegree+int(d)]
+}
+
+func send(s *state, node int, d network.Dir, m msg) {
+	q := s.channel(node, d)
+	*q = append(*q, m)
 }
 
 // route runs the router kernel for m at node; arrival is the inbound link
-// (dirNone for locally issued or NIC-spawned messages).
-func (c *Checker) route(s *state, node int, m msg, arrival int) {
+// (network.Local for locally issued or NIC-spawned messages).
+func (c *Checker) route(s *state, node int, m msg, arrival network.Dir) {
 	switch m.Type {
-	case mRdReq:
+	case protocol.RdReq:
 		c.routeRead(s, node, m)
-	case mWrReq:
+	case protocol.WrReq:
 		c.routeWrite(s, node, m)
-	case mRdReply, mWrReply:
+	case protocol.RdReply, protocol.WrReply:
 		c.routeReply(s, node, m, arrival)
-	case mTeardown:
-		c.teardown(s, node, arrival, false)
-	case mTdAck:
+	case protocol.Teardown:
+		c.teardown(s, node, arrival)
+	case protocol.TdAck:
 		c.ack(s, node, arrival, m)
 	}
 }
@@ -122,156 +136,138 @@ func (c *Checker) route(s *state, node int, m msg, arrival int) {
 func (c *Checker) routeRead(s *state, node int, m msg) {
 	t := &s.lines[node]
 	if t.Valid && !t.Touched {
-		if t.LocalV {
+		if t.LocalValid {
 			s.nicq[node] = append(s.nicq[node], m)
 			return
 		}
-		if !t.IsRoot && t.RootDir != dirNone && t.Links[t.RootDir] {
-			send(s, node, int(t.RootDir), m)
+		if !t.IsRoot && t.RootDir != network.DirNone && t.Links[t.RootDir] {
+			send(s, node, t.RootDir, m)
 			return
 		}
 	}
 	if node == c.Home {
-		if s.pend && !c.has(MutDoubleGrant) {
-			s.pendq = append(s.pendq, m)
-			return
-		}
-		if t.Valid && t.Touched {
-			s.homeq = append(s.homeq, m)
-			return
-		}
-		if t.Valid {
-			// Degenerate home line; the simulator drops and
-			// serves fresh.
-			*t = treeLine{RootDir: dirNone}
-		}
-		s.pend = true
-		m.HomeServe = true
-		s.nicq[node] = append(s.nicq[node], m)
+		c.routeAtHome(s, m)
 		return
 	}
-	send(s, node, c.routeTo(node, c.Home), m)
+	send(s, node, c.Topo.NextHop(node, c.Home), m)
 }
 
 func (c *Checker) routeWrite(s *state, node int, m msg) {
-	t := &s.lines[node]
 	if node == c.Home {
-		if s.pend && !c.has(MutDoubleGrant) {
-			s.pendq = append(s.pendq, m)
-			return
-		}
-		if t.Valid && t.Touched {
+		c.routeAtHome(s, m)
+		return
+	}
+	if t := &s.lines[node]; t.Valid && !t.Touched {
+		c.teardown(s, node, network.Local)
+	}
+	send(s, node, c.Topo.NextHop(node, c.Home), m)
+}
+
+// routeAtHome admits a request at the home node: it waits behind an
+// in-flight home serve or a teardown, or it opens the home-serve window
+// and goes up to the NIC. A write tears a valid tree down first.
+func (c *Checker) routeAtHome(s *state, m msg) {
+	t := &s.lines[c.Home]
+	if s.pend && !c.has(treecc.BugDoubleGrant) {
+		s.pendq = append(s.pendq, m)
+		return
+	}
+	if t.Valid && t.Touched {
+		s.homeq = append(s.homeq, m)
+		return
+	}
+	if t.Valid && m.Type == protocol.RdReq {
+		// Degenerate home line; the simulator drops and serves fresh.
+		*t = emptyLine
+	} else if t.Valid {
+		// Wait for the collapse, unless a single-node tree tore down
+		// instantly.
+		if c.teardown(s, c.Home, network.Local); t.Valid {
 			s.homeq = append(s.homeq, m)
 			return
 		}
-		if t.Valid {
-			c.teardown(s, node, dirNone, false)
-			if s.lines[node].Valid {
-				s.homeq = append(s.homeq, m)
-			} else {
-				// Single-node tree tore down instantly.
-				s.pend = true
-				m.HomeServe = true
-				s.nicq[node] = append(s.nicq[node], m)
-			}
-			return
-		}
-		s.pend = true
-		m.HomeServe = true
-		s.nicq[node] = append(s.nicq[node], m)
-		return
 	}
-	if t.Valid && !t.Touched {
-		c.teardown(s, node, dirNone, false)
-	}
-	send(s, node, c.routeTo(node, c.Home), m)
+	s.pend = true
+	m.HomeServe = true
+	s.nicq[c.Home] = append(s.nicq[c.Home], m)
 }
 
 // revert turns a reply back into a request at node, releasing the
 // home-serve window if the reply owned it (it was fresh and had not yet
 // anchored the home line).
-func (c *Checker) revert(s *state, node int, m msg, arrival int) {
-	if m.Root && arrival == dirNone {
+func (c *Checker) revert(s *state, node int, m msg, arrival network.Dir) {
+	if m.Root && arrival == network.Local {
 		c.releasePend(s)
 	}
-	t := int8(mRdReq)
-	if m.Type == mWrReply {
-		t = mWrReq
+	t := protocol.RdReq
+	if m.Type == protocol.WrReply {
+		t = protocol.WrReq
 	}
-	c.route(s, node, msg{Type: t, Op: m.Op}, dirNone)
+	c.route(s, node, msg{Type: t, Op: m.Op}, network.Local)
 }
 
-func (c *Checker) routeReply(s *state, node int, m msg, arrival int) {
+func (c *Checker) routeReply(s *state, node int, m msg, arrival network.Dir) {
 	t := &s.lines[node]
 	req := c.Ops[m.Op].Node
 	// Origin guard for grafting replies (the serve raced a teardown).
-	if arrival == dirNone && !m.Root {
+	if arrival == network.Local && !m.Root {
 		if !t.Valid || t.Touched {
-			c.route(s, node, msg{Type: mRdReq, Op: m.Op}, dirNone)
+			c.route(s, node, msg{Type: protocol.RdReq, Op: m.Op}, network.Local)
 			return
 		}
 	}
 	if node == req {
-		if t.Valid && !t.Touched {
+		switch {
+		case t.Valid && !t.Touched:
 			if m.Root {
-				if t.LocalV {
+				if t.LocalValid {
 					c.invalidateData(s, node)
-					t.LocalV = false
+					t.LocalValid = false
 				}
 				t.IsRoot = true
-				t.RootDir = dirNone
-				t.Links = [4]bool{}
-				if arrival != dirNone {
+				t.RootDir = network.DirNone
+				t.Links = [network.MaxDegree]bool{}
+				if arrival != network.Local {
 					t.Links[arrival] = true
 				}
-			} else if m.Built && arrival != dirNone && !t.Links[arrival] {
+			} else if m.Built && arrival != network.Local && !t.Links[arrival] {
 				// Graft re-entry at the requester: unlink the
 				// sender's dangling bit.
-				send(s, node, arrival, msg{Type: mTdAck, Op: -1, Built: true /* unlink */})
+				send(s, node, arrival, msg{Type: protocol.TdAck, Op: -1, Built: true /* unlink */})
 			}
-			t.Anchored = true
-			if s.pend && m.Root && arrival == dirNone {
-				c.releasePend(s)
-			}
-			s.nicq[node] = append(s.nicq[node], m)
-			return
-		}
-		if !t.Valid {
-			*t = treeLine{Valid: true, RootDir: dirNone, Anchored: true}
-			if arrival != dirNone {
+			t.OutstandingReq = true
+		case !t.Valid:
+			*t = emptyLine
+			t.Valid, t.OutstandingReq = true, true
+			if arrival != network.Local {
 				t.Links[arrival] = true
 			}
 			if m.Root {
 				t.IsRoot = true
 			} else {
-				t.RootDir = int8(arrival)
+				t.RootDir = arrival
 			}
-			if s.pend && m.Root && arrival == dirNone {
-				c.releasePend(s)
-			}
-			s.nicq[node] = append(s.nicq[node], m)
+		case !t.OutstandingReq:
+			// Touched, and no acknowledgment is held for this reply.
+			c.revert(s, node, m, arrival)
 			return
 		}
-		// Touched line at the requester: if its acknowledgment is held
-		// for this reply, eject for an uncached completion (releasing
-		// the collapse); otherwise revert.
-		if t.Anchored {
-			if s.pend && m.Root && arrival == dirNone {
-				c.releasePend(s)
-			}
-			s.nicq[node] = append(s.nicq[node], m)
-			return
+		// Eject for the completion. A touched line whose acknowledgment
+		// is held for this reply completes uncached, releasing the
+		// collapse.
+		if s.pend && m.Root && arrival == network.Local {
+			c.releasePend(s)
 		}
-		c.revert(s, node, m, arrival)
+		s.nicq[node] = append(s.nicq[node], m)
 		return
 	}
-	out := c.routeTo(node, req)
+	out := c.Topo.NextHop(node, req)
 	if t.Valid && !t.Touched {
 		if !m.Root {
-			if m.Built && arrival != dirNone && !t.Links[arrival] {
-				send(s, node, arrival, msg{Type: mTdAck, Op: -1, Built: true})
+			if m.Built && arrival != network.Local && !t.Links[arrival] {
+				send(s, node, arrival, msg{Type: protocol.TdAck, Op: -1, Built: true})
 			}
-			if d, ok := c.closer(s, node, req); ok {
+			if d, ok := t.CloserLink(c.Topo, node, req); ok {
 				m.Built = false
 				send(s, node, d, m)
 				return
@@ -282,68 +278,54 @@ func (c *Checker) routeReply(s *state, node int, m msg, arrival int) {
 			return
 		}
 		// Fresh-tree reply absorbing a remnant.
-		if t.LocalV {
+		if t.LocalValid {
 			c.invalidateData(s, node)
-			t.LocalV = false
+			t.LocalValid = false
 		}
-		t.Links = [4]bool{}
-		if arrival != dirNone {
+		t.Links = [network.MaxDegree]bool{}
+		if arrival != network.Local {
 			t.Links[arrival] = true
 		}
 		t.Links[out] = true
-		t.RootDir = int8(out)
+		t.RootDir = out
 		t.IsRoot = false
-		t.Anchored = false
+		t.OutstandingReq = false
 		m.Built = true
 		// The reply must enter the channel before the pending queue
 		// re-routes (a released write's teardown chases it in FIFO
 		// order, mirroring the simulator's age-based arbitration).
 		send(s, node, out, m)
-		if s.pend && arrival == dirNone && node == c.Home {
+		if s.pend && arrival == network.Local && node == c.Home {
 			c.releasePend(s)
 		}
 		return
 	}
 	if !t.Valid {
-		if !m.Root && !m.Built && arrival != dirNone {
+		if !m.Root && !m.Built && arrival != network.Local {
 			// Followed a tree edge into a collapsed node: revert.
 			c.revert(s, node, m, arrival)
 			return
 		}
-		*t = treeLine{Valid: true, RootDir: dirNone}
-		if arrival != dirNone {
+		*t = emptyLine
+		t.Valid = true
+		if arrival != network.Local {
 			t.Links[arrival] = true
 		}
 		t.Links[out] = true
 		if m.Root {
-			t.RootDir = int8(out)
+			t.RootDir = out
 		} else {
-			t.RootDir = int8(arrival)
+			t.RootDir = arrival
 		}
 		m.Built = true
 		send(s, node, out, m)
-		if s.pend && m.Root && arrival == dirNone && node == c.Home {
+		if s.pend && m.Root && arrival == network.Local && node == c.Home {
 			c.releasePend(s)
 		}
 		return
 	}
 	// Touched: revert to a request (the simulator stalls then times out).
 	c.revert(s, node, m, arrival)
-}
-
-func (c *Checker) closer(s *state, node, target int) (int, bool) {
-	t := &s.lines[node]
-	cur := c.dist(node, target)
-	for d := 0; d < 4; d++ {
-		if !t.Links[d] {
-			continue
-		}
-		nb := c.neighbor(node, d)
-		if nb >= 0 && c.dist(nb, target) < cur {
-			return d, true
-		}
-	}
-	return dirNone, false
 }
 
 // releasePend lifts the home-serve marker and re-routes the queued
@@ -353,12 +335,12 @@ func (c *Checker) releasePend(s *state) {
 	q := s.pendq
 	s.pendq = nil
 	for _, w := range q {
-		c.route(s, c.Home, w, dirNone)
+		c.route(s, c.Home, w, network.Local)
 	}
 }
 
 func (c *Checker) invalidateData(s *state, node int) {
-	if s.data[node] == dModified && s.dver[node] > s.memV && !c.has(MutLostWriteback) {
+	if s.data[node] == dModified && s.dver[node] > s.memV && !c.has(treecc.BugLostWriteback) {
 		s.memV = s.dver[node]
 	}
 	s.data[node] = dInvalid
@@ -366,68 +348,64 @@ func (c *Checker) invalidateData(s *state, node int) {
 
 // teardown ports processTeardown (no ClearArrival: no timeout aborts in
 // the reduced model).
-func (c *Checker) teardown(s *state, node, arrival int, _ bool) {
+func (c *Checker) teardown(s *state, node int, arrival network.Dir) {
 	t := &s.lines[node]
 	if !t.Valid || t.Touched {
 		return
 	}
 	t.Touched = true
-	if t.LocalV && !c.has(MutSkipInvalidate) {
+	if t.LocalValid && !c.has(treecc.BugSkipInvalidate) {
 		c.invalidateData(s, node)
-		t.LocalV = false
+		t.LocalValid = false
 	}
-	for d := 0; d < 4; d++ {
-		if t.Links[d] && d != arrival {
-			send(s, node, d, msg{Type: mTeardown, Op: -1})
+	for d, linked := range t.Links {
+		if linked && network.Dir(d) != arrival {
+			send(s, node, network.Dir(d), msg{Type: protocol.Teardown, Op: -1})
 		}
 	}
-	if node == c.Home && c.has(MutEarlyHomeRelease) {
+	if node == c.Home && c.has(treecc.BugEarlyHomeRelease) {
 		// Wrong teardown order: the home declares the teardown done the
 		// moment its own line is touched, without waiting for the
 		// subtree to collapse and acknowledge.
-		*t = treeLine{RootDir: dirNone}
+		*t = emptyLine
 		c.teardownComplete(s)
 		return
 	}
-	if t.Anchored && !c.ackHoldOff() {
+	if t.OutstandingReq && !c.ackHoldOff() {
 		// Hold the acknowledgment until the pending completion lands
 		// (outstanding-request bit).
 		return
 	}
-	switch n := t.linkCount(); {
+	switch n := t.LinkCount(); {
 	case n == 0:
-		*t = treeLine{RootDir: dirNone}
+		*t = emptyLine
 		if node == c.Home {
 			c.teardownComplete(s)
 		}
 	case n == 1 && node != c.Home:
-		d := t.onlyLink()
-		if !c.has(MutDropTdAck) {
-			send(s, node, d, msg{Type: mTdAck, Op: -1})
-		}
-		*t = treeLine{RootDir: dirNone}
+		c.sendAckAndFree(s, node)
 	}
 }
 
 // ack ports processAck; m.Built doubles as the unlink flag for acks.
-func (c *Checker) ack(s *state, node, arrival int, m msg) {
+func (c *Checker) ack(s *state, node int, arrival network.Dir, m msg) {
 	t := &s.lines[node]
 	if !t.Valid {
 		return
 	}
 	if !t.Touched {
-		if m.Built && arrival != dirNone {
+		if m.Built && arrival != network.Local {
 			t.Links[arrival] = false
 		}
 		return
 	}
-	if arrival != dirNone {
+	if arrival != network.Local {
 		if !t.Links[arrival] {
 			return
 		}
 		t.Links[arrival] = false
 	}
-	if t.Anchored && !c.ackHoldOff() {
+	if t.OutstandingReq && !c.ackHoldOff() {
 		return
 	}
 	c.collapse(s, node)
@@ -436,22 +414,28 @@ func (c *Checker) ack(s *state, node, arrival int, m msg) {
 func (c *Checker) collapse(s *state, node int) {
 	t := &s.lines[node]
 	if node == c.Home {
-		if t.linkCount() == 0 {
-			*t = treeLine{RootDir: dirNone}
+		if t.LinkCount() == 0 {
+			*t = emptyLine
 			c.teardownComplete(s)
 		}
 		return
 	}
-	switch t.linkCount() {
+	switch t.LinkCount() {
 	case 0:
-		*t = treeLine{RootDir: dirNone}
+		*t = emptyLine
 	case 1:
-		d := t.onlyLink()
-		if !c.has(MutDropTdAck) {
-			send(s, node, d, msg{Type: mTdAck, Op: -1})
-		}
-		*t = treeLine{RootDir: dirNone}
+		c.sendAckAndFree(s, node)
 	}
+}
+
+// sendAckAndFree collapses a non-home line down to its last link: the
+// acknowledgment goes out that link and the line is freed.
+func (c *Checker) sendAckAndFree(s *state, node int) {
+	t := &s.lines[node]
+	if !c.has(treecc.BugDropTdAck) {
+		send(s, node, t.OnlyLink(), msg{Type: protocol.TdAck, Op: -1})
+	}
+	*t = emptyLine
 }
 
 // teardownComplete releases the home queue. Victim caching is modeled by
@@ -461,7 +445,7 @@ func (c *Checker) teardownComplete(s *state) {
 	q := s.homeq
 	s.homeq = nil
 	for _, w := range q {
-		c.route(s, c.Home, w, dirNone)
+		c.route(s, c.Home, w, network.Local)
 	}
 }
 
@@ -470,11 +454,11 @@ func (c *Checker) teardownComplete(s *state) {
 func (c *Checker) nicServe(s *state, node int, m msg) {
 	t := &s.lines[node]
 	switch m.Type {
-	case mRdReq:
-		if t.Valid && !t.Touched && t.LocalV {
+	case protocol.RdReq:
+		if t.Valid && !t.Touched && t.LocalValid {
 			// Sharer serve: a dirty line writes back (M -> S).
 			if s.data[node] == dModified {
-				if !c.has(MutLostWriteback) {
+				if !c.has(treecc.BugLostWriteback) {
 					s.memV = s.dver[node]
 				}
 				s.data[node] = dShared
@@ -483,45 +467,45 @@ func (c *Checker) nicServe(s *state, node int, m msg) {
 			if v != s.memV {
 				c.fail("read sampled v%d at n%d but memory holds v%d", v, node, s.memV)
 			}
-			c.Opsampled(s, m.Op, v)
-			c.route(s, node, msg{Type: mRdReply, Op: m.Op, Ver: v}, dirNone)
+			s.ops[m.Op].Sampled = v
+			c.route(s, node, msg{Type: protocol.RdReply, Op: m.Op, Ver: v}, network.Local)
 			return
 		}
 		if !m.HomeServe {
 			// Raced serve: retry toward home.
-			c.route(s, node, msg{Type: mRdReq, Op: m.Op}, dirNone)
+			c.route(s, node, msg{Type: protocol.RdReq, Op: m.Op}, network.Local)
 			return
 		}
 		// Home serve from memory (victim caching folded into memV).
 		v := s.memV
-		c.Opsampled(s, m.Op, v)
-		c.route(s, node, msg{Type: mRdReply, Op: m.Op, Ver: v, Root: true}, dirNone)
-	case mWrReq:
+		s.ops[m.Op].Sampled = v
+		c.route(s, node, msg{Type: protocol.RdReply, Op: m.Op, Ver: v, Root: true}, network.Local)
+	case protocol.WrReq:
 		// Grant (Requirement 3: home data copy invalidated).
 		if s.data[node] != dInvalid && node == c.Home {
 			c.invalidateData(s, node)
 		}
-		c.route(s, node, msg{Type: mWrReply, Op: m.Op, Root: true}, dirNone)
-	case mRdReply:
-		if t.Valid && !t.Touched && (t.Anchored || c.anchorOff()) {
+		c.route(s, node, msg{Type: protocol.WrReply, Op: m.Op, Root: true}, network.Local)
+	case protocol.RdReply:
+		if t.Valid && !t.Touched && (t.OutstandingReq || c.has(treecc.BugAcceptStaleReply)) {
 			s.data[node] = dShared
 			s.dver[node] = m.Ver
-			t.LocalV = true
-			t.Anchored = false
+			t.LocalValid = true
+			t.OutstandingReq = false
 		} else {
 			c.releaseHeld(s, node)
 		}
 		s.ops[m.Op].Phase = opDone
 		s.ops[m.Op].Sampled = m.Ver
-	case mWrReply:
+	case protocol.WrReply:
 		s.wrote++
 		v := s.wrote
 		c.checkSoleCopy(s, node)
-		if t.Valid && !t.Touched && (t.Anchored || c.anchorOff()) {
+		if t.Valid && !t.Touched && (t.OutstandingReq || c.has(treecc.BugAcceptStaleReply)) {
 			s.data[node] = dModified
 			s.dver[node] = v
-			t.LocalV = true
-			t.Anchored = false
+			t.LocalValid = true
+			t.OutstandingReq = false
 		} else {
 			// Tree being torn down: write through; the held
 			// acknowledgment guaranteed this commit serialized
@@ -539,21 +523,16 @@ func (c *Checker) nicServe(s *state, node int, m msg) {
 // bit.
 func (c *Checker) releaseHeld(s *state, node int) {
 	t := &s.lines[node]
-	if !t.Valid || !t.Touched || !t.Anchored {
+	if !t.Valid || !t.Touched || !t.OutstandingReq {
 		return
 	}
-	t.Anchored = false
-	if t.linkCount() == 0 {
-		*t = treeLine{RootDir: dirNone}
+	t.OutstandingReq = false
+	if t.LinkCount() == 0 {
+		*t = emptyLine
 		if node == c.Home {
 			c.teardownComplete(s)
 		}
 		return
 	}
 	c.collapse(s, node)
-}
-
-// Opsampled records the version a read sampled.
-func (c *Checker) Opsampled(s *state, op int8, v int8) {
-	s.ops[op].Sampled = v
 }

@@ -5,12 +5,13 @@ import (
 	"strings"
 )
 
-// Bug is a deliberately seeded protocol defect. The bits mirror
-// internal/mcheck's Mutation set one-for-one: each defect exists in both
-// the reduced model (where the exhaustive checker must catch it) and the
-// full engine (where the litmus fuzzer's oracles must catch it), which is
-// what makes the two-layer verification net's mutation suite evidence of
-// detection power rather than of clean runs passing.
+// Bug is a deliberately seeded protocol defect. The same mask arms both
+// verification layers: internal/mcheck's Checker.Bugs injects it into the
+// reduced model (where the exhaustive checker must catch it) and
+// Engine.Bugs into the full engine (where the litmus fuzzer's oracles must
+// catch it), which is what makes the two-layer verification net's
+// mutation suite evidence of detection power rather than of clean runs
+// passing.
 //
 // Bugs are strictly a test facility: nothing in the engine sets them, and
 // a zero mask compiles to the unmodified protocol. The litmus harness sets
@@ -45,8 +46,9 @@ const (
 	numBugs = 7
 )
 
-// bugNames maps each bit to its canonical name, shared with the model
-// checker's mutation table and litmus reproducer spec files.
+// bugNames maps each bit to its canonical name, the form litmus
+// reproducer spec files, the -litmus-bug flag and both verification
+// layers' seeded-bug tests use.
 var bugNames = [numBugs]string{
 	"drop-ack-hold",
 	"accept-stale-reply",

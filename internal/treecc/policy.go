@@ -289,7 +289,7 @@ func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.
 			}
 			// Grafting onto an existing tree: prefer an existing
 			// link that leads one hop closer to the requester.
-			if d, found := e.closerLink(n, line, msg.Requester); found {
+			if d, found := line.CloserLink(e.topo, n, msg.Requester); found {
 				msg.BuiltLast = false
 				return network.Steer{Out: d, Spawn: spawns}
 			}
@@ -515,20 +515,4 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		Payload: req, Retryable: true}
 	spawns = append(spawns, reqPkt)
 	return network.Steer{Consume: true, Spawn: spawns}
-}
-
-// closerLink looks for an existing tree link at node n whose neighbor is
-// one hop closer to the target node.
-func (e *Engine) closerLink(n int, line *TreeLine, target int) (network.Dir, bool) {
-	cur := e.topo.Dist(n, target)
-	for d := 0; d < e.deg; d++ {
-		if !line.Links[d] {
-			continue
-		}
-		nb, valid := e.topo.Neighbor(n, network.Dir(d))
-		if valid && e.topo.Dist(nb, target) < cur {
-			return network.Dir(d), true
-		}
-	}
-	return network.DirNone, false
 }

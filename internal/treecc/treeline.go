@@ -69,3 +69,22 @@ func (t *TreeLine) OnlyLink() network.Dir {
 	}
 	return network.DirNone
 }
+
+// CloserLink looks for a tree link of this line, held at node n of topo,
+// whose neighbor is one hop closer to target: a grafting reply follows it
+// instead of extending the tree. The engine's reply kernel and the model
+// checker (internal/mcheck) both take this step here. Ports are tried in
+// Dir order; ports beyond topo's degree are never linked.
+func (t *TreeLine) CloserLink(topo network.Topology, n, target int) (network.Dir, bool) {
+	cur := topo.Dist(n, target)
+	for d, linked := range t.Links {
+		if !linked {
+			continue
+		}
+		nb, valid := topo.Neighbor(n, network.Dir(d))
+		if valid && topo.Dist(nb, target) < cur {
+			return network.Dir(d), true
+		}
+	}
+	return network.DirNone, false
+}

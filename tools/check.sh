@@ -94,6 +94,20 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
 go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
     -topology ring:16 >/dev/null
 
+# Benchmark smokes. Each one below writes its record to $BENCH_TMP (never
+# over the committed BENCH_*.json files, so a green check leaves the tree
+# clean), prints it, and diffs it against the committed record with
+# tools/benchdiff.sh. The diffs are advisory: a >10% regression prints
+# loudly but does not fail the check, because a 1-iteration smoke is too
+# noisy to gate on. To refresh a committed record, rerun with the named
+# *_BENCHTIME and copy its file from $BENCH_TMP (printed below) over it.
+BENCH_TMP=$(mktemp -d)
+echo "benchmark smoke records go to $BENCH_TMP"
+bench_diff() {
+    tools/benchdiff.sh "$1" "$BENCH_TMP/$1" ||
+        echo "benchdiff: ADVISORY — $1 smoke regressed vs the committed record; $2 before trusting this" >&2
+}
+
 # SoA serial record: the 16x16 mesh tick-loop benchmark, recorded as
 # BENCH_soa.json with the host CPU count. ns/op is simulation only
 # (protocol.Build is excluded from the timer). The pre-SoA reference is a
@@ -103,12 +117,10 @@ go run -race ./cmd/innetcc -exp fig5 -accesses 80 -jobs 4 \
 # comparisons of the speedup field are only meaningful when host_cpus
 # matches the reference_host_cpus recorded beside it. Override
 # SOA_BASELINE_NS to re-A/B on new hardware. One iteration by default (a
-# smoke, not a measurement); set SOA_BENCHTIME (e.g. 5x) to refresh the
-# committed numbers.
+# smoke, not a measurement); SOA_BENCHTIME=5x, copied from
+# $BENCH_TMP/BENCH_soa.json, refreshes the committed record.
 : "${SOA_BENCHTIME:=1x}"
 : "${SOA_BASELINE_NS:=278778224}"
-OLD_SOA=$(mktemp)
-cp BENCH_soa.json "$OLD_SOA" 2>/dev/null || OLD_SOA=
 go test -run '^$' -bench '^BenchmarkParallelMesh$' -benchtime "$SOA_BENCHTIME" . |
     awk -v base="$SOA_BASELINE_NS" -v ncpu="$(nproc)" '
         $1 ~ /^BenchmarkParallelMesh/ {
@@ -125,29 +137,18 @@ go test -run '^$' -bench '^BenchmarkParallelMesh$' -benchtime "$SOA_BENCHTIME" .
             printf "  \"soa_serial_ns_per_op\": %s,\n", ns
             printf "  \"serial_speedup\": %.2f\n", base / ns
             printf "}\n"
-        }' > BENCH_soa.json
-cat BENCH_soa.json
-
-# Advisory benchmark diff against the previously committed numbers: a >10%
-# timing regression prints loudly but does not fail the check, because the
-# default 1x smoke is too noisy to gate on. To gate for real, refresh with
-# SOA_BENCHTIME=5x and run tools/benchdiff.sh by hand (it exits 1 on
-# regression).
-if [ -n "$OLD_SOA" ]; then
-    tools/benchdiff.sh "$OLD_SOA" BENCH_soa.json ||
-        echo "benchdiff: ADVISORY — smoke-run numbers regressed vs committed; rerun with SOA_BENCHTIME=5x before trusting this" >&2
-fi
+        }' > "$BENCH_TMP/BENCH_soa.json"
+cat "$BENCH_TMP/BENCH_soa.json"
+bench_diff BENCH_soa.json "rerun with SOA_BENCHTIME=5x"
 
 # Build cost record: protocol.Build alone (trace generation excluded) on
 # 16x16, 32x32 and 64x64 tree-engine meshes, recorded as BENCH_build.json
 # with the host CPU count. Cache sets materialize on first touch, so these
 # numbers grow with the per-set indexes, not with cache capacity; B/op and
-# allocs/op are deterministic, ns/op is a 10-iteration smoke. Set
-# BUILD_BENCHTIME to refresh with more iterations. The benchdiff pass
-# against the previously committed file is advisory, as above.
+# allocs/op are deterministic, ns/op is a 10-iteration smoke.
+# BUILD_BENCHTIME=50x, copied from $BENCH_TMP/BENCH_build.json, refreshes
+# the committed record.
 : "${BUILD_BENCHTIME:=10x}"
-OLD_BUILD=$(mktemp)
-cp BENCH_build.json "$OLD_BUILD" 2>/dev/null || OLD_BUILD=
 go test -run '^$' -bench '^BenchmarkBuild$' -benchtime "$BUILD_BENCHTIME" . |
     awk -v ncpu="$(nproc)" '
         $1 ~ /^BenchmarkBuild\// {
@@ -172,12 +173,9 @@ go test -run '^$' -bench '^BenchmarkBuild$' -benchtime "$BUILD_BENCHTIME" . |
                 printf "  \"%s_allocs_per_op\": %s%s\n", keys[k], al[keys[k]], k < n ? "," : ""
             }
             printf "}\n"
-        }' > BENCH_build.json
-cat BENCH_build.json
-if [ -n "$OLD_BUILD" ]; then
-    tools/benchdiff.sh "$OLD_BUILD" BENCH_build.json ||
-        echo "benchdiff: ADVISORY — Build numbers regressed vs committed; rerun with BUILD_BENCHTIME=50x before trusting this" >&2
-fi
+        }' > "$BENCH_TMP/BENCH_build.json"
+cat "$BENCH_TMP/BENCH_build.json"
+bench_diff BENCH_build.json "rerun with BUILD_BENCHTIME=50x"
 
 # Serving-layer smoke under the race detector: start the job server on a
 # loopback port, submit a job over HTTP, stream its progress to completion,
@@ -226,8 +224,8 @@ grep -q 'drained' "$SERVE_DATA/coord.log"
 # Serving-layer benchmark smoke: the 8-profile x 2-engine sweep through the
 # job server with a cold and a warm result cache, recorded as
 # BENCH_serve.json so scheduling/caching regressions show up in review
-# diffs. One iteration by default; set SERVE_BENCHTIME (e.g. 5x) to refresh
-# the committed numbers.
+# diffs. One iteration by default; SERVE_BENCHTIME=5x, copied from
+# $BENCH_TMP/BENCH_serve.json, refreshes the committed record.
 : "${SERVE_BENCHTIME:=1x}"
 go test -run '^$' -bench 'ServeSweep' -benchtime "$SERVE_BENCHTIME" ./internal/serve |
     awk '
@@ -244,14 +242,15 @@ go test -run '^$' -bench 'ServeSweep' -benchtime "$SERVE_BENCHTIME" ./internal/s
             printf "  \"warm_jobs_per_sec\": %s,\n", jps["Warm"]
             printf "  \"warm_speedup\": %.2f\n", jps["Warm"] / jps["Cold"]
             printf "}\n"
-        }' > BENCH_serve.json
-cat BENCH_serve.json
+        }' > "$BENCH_TMP/BENCH_serve.json"
+cat "$BENCH_TMP/BENCH_serve.json"
+bench_diff BENCH_serve.json "rerun with SERVE_BENCHTIME=5x"
 
 # Kernel benchmark smoke: the active-set kernel against its always-tick
 # control on the 64-node low-injection mesh, recorded as BENCH_kernel.json
 # so regressions in the idle-skip machinery show up in review diffs. One
-# iteration by default (a smoke, not a measurement); set KERNEL_BENCHTIME
-# (e.g. 5x) to refresh the committed numbers.
+# iteration by default (a smoke, not a measurement); KERNEL_BENCHTIME=5x,
+# copied from $BENCH_TMP/BENCH_kernel.json, refreshes the committed record.
 : "${KERNEL_BENCHTIME:=1x}"
 go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
     awk '
@@ -271,14 +270,16 @@ go test -run '^$' -bench 'KernelIdleMesh' -benchtime "$KERNEL_BENCHTIME" . |
             printf "  \"sim_cycles\": %s,\n", cycles["BenchmarkKernelIdleMesh"]
             printf "  \"speedup\": %.2f\n", t / a
             printf "}\n"
-        }' > BENCH_kernel.json
-cat BENCH_kernel.json
+        }' > "$BENCH_TMP/BENCH_kernel.json"
+cat "$BENCH_TMP/BENCH_kernel.json"
+bench_diff BENCH_kernel.json "rerun with KERNEL_BENCHTIME=5x"
 
 # Topology benchmark smoke: hardware-multicast invalidation traffic against
 # its unicast control on the 8x8 torus, recorded as BENCH_topology.json so
 # regressions in the fabric's packet forking show up in review diffs. One
-# iteration by default (the packet counts are deterministic per run); set
-# TOPOLOGY_BENCHTIME (e.g. 5x) to refresh the committed timings too.
+# iteration by default (the packet counts are deterministic per run);
+# TOPOLOGY_BENCHTIME=5x, copied from $BENCH_TMP/BENCH_topology.json,
+# refreshes the committed record.
 : "${TOPOLOGY_BENCHTIME:=1x}"
 go test -run '^$' -bench 'TopologyMulticast' -benchtime "$TOPOLOGY_BENCHTIME" . |
     awk '
@@ -295,8 +296,9 @@ go test -run '^$' -bench 'TopologyMulticast' -benchtime "$TOPOLOGY_BENCHTIME" . 
             printf "  \"multicast_inv_packets\": %s,\n", pk["Multicast"]
             printf "  \"packet_reduction\": %.2f\n", 1 - pk["Multicast"] / pk["Unicast"]
             printf "}\n"
-        }' > BENCH_topology.json
-cat BENCH_topology.json
+        }' > "$BENCH_TMP/BENCH_topology.json"
+cat "$BENCH_TMP/BENCH_topology.json"
+bench_diff BENCH_topology.json "check the multicast forking"
 
 # Cluster smoke under the race detector: coordinator plus three workers in
 # process, a seeded kill/restart campaign driven by -chaos. The command
@@ -310,6 +312,8 @@ go run -race ./cmd/innetcc -chaos 'kill=40000,restart=10,window=2:0' \
 # baseline) and with the kill schedule, recorded as BENCH_cluster.json so
 # fan-out throughput and recovery-path regressions show up in review diffs.
 # The chaos CLI already emits JSON; the awk pass just merges the two runs.
+# The campaign has no *_BENCHTIME: copying $BENCH_TMP/BENCH_cluster.json
+# refreshes the committed record.
 CLUSTER_TMP=$(mktemp -d)
 go build -o "$CLUSTER_TMP/innetcc" ./cmd/innetcc
 "$CLUSTER_TMP/innetcc" -chaos none -chaos-workers 3 -chaos-jobs 8 \
@@ -334,5 +338,6 @@ awk '
         printf "  \"chaos_resumes\": %s,\n", rs[2]
         printf "  \"chaos_slowdown\": %.2f\n", jps[1] / jps[2]
         printf "}\n"
-    }' "$CLUSTER_TMP/clean.json" "$CLUSTER_TMP/chaos.json" > BENCH_cluster.json
-cat BENCH_cluster.json
+    }' "$CLUSTER_TMP/clean.json" "$CLUSTER_TMP/chaos.json" > "$BENCH_TMP/BENCH_cluster.json"
+cat "$BENCH_TMP/BENCH_cluster.json"
+bench_diff BENCH_cluster.json "rerun the campaign"
