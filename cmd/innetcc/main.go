@@ -84,21 +84,22 @@ var registry = []experiment{
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (\"all\" or a name from -list)")
 	list := flag.Bool("list", false, "list all experiments with descriptions and exit")
-	accesses := flag.Int("accesses", 0, "trace accesses per node, 16-node experiments (0 = default)")
-	accesses64 := flag.Int("accesses64", 0, "trace accesses per node, 64-node experiments (0 = default)")
-	seed := flag.Uint64("seed", 0, "experiment suite seed, per-job seeds derive from it (0 = default)")
-	jobs := flag.Int("jobs", 0, "simulation worker parallelism (0 = all cores); results are identical at any setting")
-	cacheDir := flag.String("cache", "", "on-disk result cache directory (empty = caching off)")
-	metricsOn := flag.Bool("metrics", false, "attach the cycle-level observability layer and print per-job metric tables")
-	metricsOut := flag.String("metrics-out", "", "export collected metrics to this file (.json = JSON, anything else = sectioned CSV); implies -metrics")
-	flightDump := flag.Bool("flight-dump", false, "print each job's flight-recorder event ring; implies -metrics")
-	faults := flag.String("faults", "", "fault injection spec, e.g. \"drop=2000,timeout=20000,retries=4\" (see internal/fault; empty = off)")
-	watchdog := flag.Int64("watchdog", 0, "hang watchdog window in cycles: fail a run making no progress for this long (0 = off)")
-	retries := flag.Int("retries", 0, "re-run a transiently failed job (hang, retry budget) this many times with derived sub-seeds")
-	topology := flag.String("topology", "", "fabric override for every simulation: mesh:WxH, torus:WxH or ring:N (empty = each experiment's default mesh)")
-	multicast := flag.Bool("multicast", false, "enable hardware multicast: directory invalidation rounds and tree teardown fan-outs ride single router-forked packets")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
+	var ef expFlags
+	flag.IntVar(&ef.accesses, "accesses", 0, "trace accesses per node, 16-node experiments (0 = default)")
+	flag.IntVar(&ef.accesses64, "accesses64", 0, "trace accesses per node, 64-node experiments (0 = default)")
+	flag.Uint64Var(&ef.seed, "seed", 0, "experiment suite seed, per-job seeds derive from it (0 = default)")
+	flag.IntVar(&ef.jobs, "jobs", 0, "simulation worker parallelism (0 = all cores); results are identical at any setting")
+	flag.StringVar(&ef.cacheDir, "cache", "", "on-disk result cache directory (empty = caching off)")
+	flag.BoolVar(&ef.metrics, "metrics", false, "attach the cycle-level observability layer and print per-job metric tables")
+	flag.StringVar(&ef.metricsOut, "metrics-out", "", "export collected metrics to this file (.json = JSON, anything else = sectioned CSV); implies -metrics")
+	flag.BoolVar(&ef.flightDump, "flight-dump", false, "print each job's flight-recorder event ring; implies -metrics")
+	flag.StringVar(&ef.faults, "faults", "", "fault injection spec, e.g. \"drop=2000,timeout=20000,retries=4\" (see internal/fault; empty = off)")
+	flag.Int64Var(&ef.watchdog, "watchdog", 0, "hang watchdog window in cycles: fail a run making no progress for this long (0 = off)")
+	flag.IntVar(&ef.retries, "retries", 0, "re-run a transiently failed job (hang, retry budget) this many times with derived sub-seeds")
+	flag.StringVar(&ef.topology, "topology", "", "fabric override for every simulation: mesh:WxH, torus:WxH or ring:N (empty = each experiment's default mesh)")
+	flag.BoolVar(&ef.multicast, "multicast", false, "enable hardware multicast: directory invalidation rounds and tree teardown fan-outs ride single router-forked packets")
+	flag.StringVar(&ef.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	flag.StringVar(&ef.memProfile, "memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 
 	var lf litmusFlags
 	flag.IntVar(&lf.count, "litmus", 0, "run a litmus-fuzzing campaign of this many generated conflict programs instead of an experiment")
@@ -156,7 +157,7 @@ func main() {
 		return
 	}
 	if cf.chaos != "" {
-		if err := runChaos(os.Stdout, cf, *accesses, *seed); err != nil {
+		if err := runChaos(os.Stdout, cf, ef.accesses, ef.seed); err != nil {
 			fmt.Fprintln(os.Stderr, "innetcc:", err)
 			os.Exit(1)
 		}
@@ -184,12 +185,12 @@ func main() {
 		return
 	}
 	if lf.count > 0 {
-		lf.seed = *seed
+		lf.seed = ef.seed
 		if lf.seed == 0 {
 			lf.seed = 1
 		}
-		lf.faults = *faults
-		lf.jobs = *jobs
+		lf.faults = ef.faults
+		lf.jobs = ef.jobs
 		if err := runLitmus(os.Stdout, lf); err != nil {
 			fmt.Fprintln(os.Stderr, "innetcc:", err)
 			os.Exit(1)
@@ -197,59 +198,89 @@ func main() {
 		return
 	}
 	if sf.client != "" {
-		if err := runClient(os.Stdout, sf, *accesses, *seed, *faults, *retries, *metricsOn, *topology, *multicast); err != nil {
+		if err := runClient(os.Stdout, sf, ef.accesses, ef.seed, ef.faults, ef.retries, ef.metrics, ef.topology, ef.multicast); err != nil {
 			fmt.Fprintln(os.Stderr, "innetcc:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	if err := runExperiments(os.Stdout, *exp, ef); err != nil {
+		fmt.Fprintln(os.Stderr, "innetcc:", err)
+		os.Exit(1)
 	}
+}
+
+// expFlags are the flags that shape an experiment run.
+type expFlags struct {
+	accesses, accesses64, jobs, retries int
+	seed                                uint64
+	watchdog                            int64
+	cacheDir, metricsOut, faults        string
+	topology, cpuProfile, memProfile    string
+	metrics, flightDump, multicast      bool
+}
+
+// options resolves the flags into validated experiment options: zero
+// values take the drivers' defaults, and -metrics-out and -flight-dump
+// imply -metrics.
+func (f expFlags) options() (experiments.Options, error) {
 	opt := experiments.Options{
-		AccessesPerNode:   *accesses,
-		AccessesPerNode64: *accesses64,
-		Seed:              *seed,
-		Jobs:              *jobs,
-		CacheDir:          *cacheDir,
-		Metrics:           *metricsOn || *metricsOut != "" || *flightDump,
-		FlightDump:        *flightDump,
-		Faults:            *faults,
-		Watchdog:          *watchdog,
-		Retries:           *retries,
-		Topology:          *topology,
-		Multicast:         *multicast,
+		AccessesPerNode:   f.accesses,
+		AccessesPerNode64: f.accesses64,
+		Seed:              f.seed,
+		Jobs:              f.jobs,
+		CacheDir:          f.cacheDir,
+		Metrics:           f.metrics || f.metricsOut != "" || f.flightDump,
+		FlightDump:        f.flightDump,
+		Faults:            f.faults,
+		Watchdog:          f.watchdog,
+		Retries:           f.retries,
+		Topology:          f.topology,
+		Multicast:         f.multicast,
 	}.WithDefaults()
-	if err := opt.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "innetcc:", err)
-		os.Exit(1)
-	}
-	if err := run(os.Stdout, *exp, opt, *metricsOut, *flightDump); err != nil {
-		fmt.Fprintln(os.Stderr, "innetcc:", err)
-		os.Exit(1)
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
+	return opt, opt.Validate()
+}
+
+// runExperiments runs experiment exp (or "all") under the profiles f asks
+// for. The CPU profile is stopped and flushed on every return, failed runs
+// included.
+func runExperiments(w io.Writer, exp string, f expFlags) (err error) {
+	if f.cpuProfile != "" {
+		pf, perr := os.Create(f.cpuProfile)
+		if perr != nil {
+			return perr
 		}
-		defer f.Close()
-		runtime.GC() // settle the heap so the profile shows retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "innetcc:", err)
-			os.Exit(1)
+		if perr := pprof.StartCPUProfile(pf); perr != nil {
+			pf.Close()
+			return perr
 		}
+		defer func() { // a Close failure reaches the caller through the named err
+			pprof.StopCPUProfile()
+			if cerr := pf.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
+	opt, err := f.options()
+	if err != nil {
+		return err
+	}
+	if err := run(w, exp, opt, f.metricsOut, f.flightDump); err != nil {
+		return err
+	}
+	if f.memProfile == "" {
+		return nil
+	}
+	mf, err := os.Create(f.memProfile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the profile shows retained memory
+	if err := pprof.WriteHeapProfile(mf); err != nil {
+		mf.Close()
+		return err
+	}
+	return mf.Close()
 }
 
 func printList(w io.Writer) {

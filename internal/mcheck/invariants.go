@@ -3,7 +3,7 @@ package mcheck
 import (
 	"fmt"
 
-	"innetcc/internal/network"
+	"innetcc/internal/treecc"
 )
 
 // Invariants checked in every reachable state, following the paper's Murφ
@@ -76,48 +76,18 @@ func (c *Checker) checkLocalRead(s *state, node int) {
 // data-value oracle — a lost writeback leaves every structural invariant
 // intact but silently rolls the line back).
 func (c *Checker) checkTerminal(s *state) {
-	roots := 0
-	members := 0
+	for _, p := range treecc.CheckTree(c.Topo, c.Home, c.nodes, func(n int) (*treecc.TreeLine, bool) {
+		return s.lines[n].tree(), s.lines[n].Valid
+	}) {
+		c.fail("terminal: %s: %s", p, c.describe(s))
+	}
 	for n := 0; n < c.nodes; n++ {
 		t := &s.lines[n]
-		if !t.Valid {
-			if s.data[n] != dInvalid && n != c.Home {
-				c.fail("terminal: n%d holds data with no tree line: %s", n, c.describe(s))
-			}
-			continue
+		if !t.Valid && s.data[n] != dInvalid && n != c.Home {
+			c.fail("terminal: n%d holds data with no tree line: %s", n, c.describe(s))
 		}
-		members++
-		if t.Touched {
-			c.fail("terminal: n%d line left touched", n)
-		}
-		if t.IsRoot {
-			roots++
-		} else if t.RootDir == network.DirNone || !t.Links[t.RootDir] {
-			c.fail("terminal: n%d RootDir not a live link: %s", n, c.describe(s))
-		}
-		for d, linked := range t.Links {
-			if !linked {
-				continue
-			}
-			nb, ok := c.Topo.Neighbor(n, network.Dir(d))
-			if !ok || !s.lines[nb].Valid {
-				c.fail("terminal: n%d link %d dangles", n, d)
-			} else if !s.lines[nb].Links[c.Topo.Arrival(network.Dir(d))] {
-				// One-way tails are cleaned by unlink acks before
-				// quiescence; none may survive.
-				c.fail("terminal: asymmetric edge %d->%d: %s", n, nb, c.describe(s))
-			}
-		}
-		if t.LocalValid != (s.data[n] != dInvalid) {
+		if t.Valid && t.LocalValid != (s.data[n] != dInvalid) {
 			c.fail("terminal: n%d LocalValid=%v but data state %d", n, t.LocalValid, s.data[n])
-		}
-	}
-	if members > 0 {
-		if roots != 1 {
-			c.fail("terminal: %d roots among %d tree members: %s", roots, members, c.describe(s))
-		}
-		if !s.lines[c.Home].Valid {
-			c.fail("terminal: home not part of surviving tree: %s", c.describe(s))
 		}
 	}
 	// Data-value oracle: the newest committed version must be resident in

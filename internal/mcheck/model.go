@@ -9,9 +9,10 @@
 // and up to two concurrent writes"), message-type-accurate protocol
 // transitions (RD_REQ, RD_REPLY, WR_REQ, WR_REPLY, TEARDOWN, TD_ACK), FIFO
 // channels between adjacent routers, and atomic above-network data
-// accesses. Tree cache capacity conflicts, evictions and the timeout
-// recovery they require are outside the backbone being checked, exactly as
-// in the paper's Murφ spec.
+// accesses. Tree caches are unbounded, so capacity conflicts and evictions
+// are outside the backbone being checked, exactly as in the paper's Murφ
+// spec; a reply stalled on a line mid-teardown reverts at once where the
+// engine would time out and revert.
 //
 // The fabric (any network.Topology — mesh, torus or ring) and the
 // concurrent op program are parameters of Checker, states are deduplicated
@@ -23,10 +24,14 @@
 // exploration from the paper's 2×2 bound to 3×3 meshes with several
 // concurrent ops.
 //
-// The model speaks the engine's vocabulary: its lines are treecc.TreeLine
-// values, its messages carry protocol.MsgType, its ports are network.Dir,
-// and its seeded defects are treecc.Bug bits, so a bug the litmus fuzzer
-// arms on the engine is the same bug the checker injects here.
+// The model has no protocol rules of its own. Every tree-line decision is a
+// call to internal/treecc's kernel functions, the ones the simulator's
+// Route and Eject wrap with timing; transitions.go renders the returned
+// treecc.Step as channel sends and NIC-queue entries. Its lines are
+// treecc.TreeLine values, its messages carry protocol.MsgType, its ports
+// are network.Dir, and its seeded defects are treecc.Bug bits, so a bug the
+// litmus fuzzer arms on the engine is the same bug the checker injects
+// here, and terminal trees pass the engine tests' treecc.CheckTree.
 package mcheck
 
 import (
@@ -60,6 +65,14 @@ type msg struct {
 type line struct {
 	treecc.TreeLine
 	Valid bool
+}
+
+// tree is the line as the kernel takes it: nil when the node holds none.
+func (l *line) tree() *treecc.TreeLine {
+	if !l.Valid {
+		return nil
+	}
+	return &l.TreeLine
 }
 
 // emptyLine is a node that holds no tree for the address.
@@ -185,12 +198,8 @@ type Checker struct {
 	// proportional to the state count; switch off for large runs.
 	TraceEdges bool
 
-	// Bugs injects the selected seeded protocol defects into the model;
-	// zero is the clean protocol. Each bit removes the protection its
-	// treecc doc names, rendered on the reduced state; the model has no
-	// reissue epochs, so BugAcceptStaleReply installs a reply that lands
-	// in a torn-down completion window, which removes the anchor check and
-	// the acknowledgment hold that together close that window.
+	// Bugs injects the selected seeded protocol defects into the model
+	// (see site for BugAcceptStaleReply); zero is the clean protocol.
 	Bugs treecc.Bug
 
 	nodes      int
@@ -200,12 +209,6 @@ type Checker struct {
 }
 
 func (c *Checker) has(b treecc.Bug) bool { return c.Bugs&b != 0 }
-
-// ackHoldOff reports that the outstanding-request acknowledgment hold is
-// removed (see Bugs).
-func (c *Checker) ackHoldOff() bool {
-	return c.has(treecc.BugDropAckHold) || c.has(treecc.BugAcceptStaleReply)
-}
 
 // New returns a checker for the given concurrent program on topo; home is
 // the line's home node. Symmetry reduction and counterexample traces are

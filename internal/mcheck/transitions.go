@@ -19,13 +19,14 @@ import (
 //     access, grant, or completion — atomic, since latencies are irrelevant
 //     to reachability).
 //
-// Router processing is a faithful port of internal/treecc's Route /
-// processTeardown / processAck logic minus the capacity machinery (no
-// conflict evictions, so no stalls and no timeout recovery), which matches
-// the backbone the paper verified in Murφ. Grafting replies pick their
-// next hop with the engine's own TreeLine.CloserLink. The Bugs hooks
-// inject the seeded defects of the mutation suite; with Bugs == 0 the
-// relation is the clean protocol.
+// Every per-line decision is the engine's own: route and nicServe call
+// internal/treecc's kernel functions (Request, Reply, Teardown, Ack, Serve,
+// Finish) and render the Step they return as channel sends, NIC-queue
+// entries and home-queue moves. The model adds only what it deliberately
+// abstracts, each stated once below: unbounded tree caches (so a stalled
+// reply reverts at once, standing in for the engine's timeout recovery),
+// no reissue epochs (see site), and its data/version state. With
+// Bugs == 0 the relation is the clean protocol.
 
 // succ is one labeled transition.
 type succ struct {
@@ -116,216 +117,112 @@ func send(s *state, node int, d network.Dir, m msg) {
 	*q = append(*q, m)
 }
 
-// route runs the router kernel for m at node; arrival is the inbound link
+// route runs the tree kernel for m at node; arrival is the inbound link
 // (network.Local for locally issued or NIC-spawned messages).
 func (c *Checker) route(s *state, node int, m msg, arrival network.Dir) {
+	t := s.lines[node].tree()
+	site := c.site(node)
 	switch m.Type {
-	case protocol.RdReq:
-		c.routeRead(s, node, m)
-	case protocol.WrReq:
-		c.routeWrite(s, node, m)
-	case protocol.RdReply, protocol.WrReply:
-		c.routeReply(s, node, m, arrival)
-	case protocol.Teardown:
-		c.teardown(s, node, arrival)
-	case protocol.TdAck:
-		c.ack(s, node, arrival, m)
-	}
-}
-
-func (c *Checker) routeRead(s *state, node int, m msg) {
-	t := &s.lines[node]
-	if t.Valid && !t.Touched {
-		if t.LocalValid {
-			s.nicq[node] = append(s.nicq[node], m)
-			return
-		}
-		if !t.IsRoot && t.RootDir != network.DirNone && t.Links[t.RootDir] {
-			send(s, node, t.RootDir, m)
-			return
-		}
-	}
-	if node == c.Home {
-		c.routeAtHome(s, m)
-		return
-	}
-	send(s, node, c.Topo.NextHop(node, c.Home), m)
-}
-
-func (c *Checker) routeWrite(s *state, node int, m msg) {
-	if node == c.Home {
-		c.routeAtHome(s, m)
-		return
-	}
-	if t := &s.lines[node]; t.Valid && !t.Touched {
-		c.teardown(s, node, network.Local)
-	}
-	send(s, node, c.Topo.NextHop(node, c.Home), m)
-}
-
-// routeAtHome admits a request at the home node: it waits behind an
-// in-flight home serve or a teardown, or it opens the home-serve window
-// and goes up to the NIC. A write tears a valid tree down first.
-func (c *Checker) routeAtHome(s *state, m msg) {
-	t := &s.lines[c.Home]
-	if s.pend && !c.has(treecc.BugDoubleGrant) {
-		s.pendq = append(s.pendq, m)
-		return
-	}
-	if t.Valid && t.Touched {
-		s.homeq = append(s.homeq, m)
-		return
-	}
-	if t.Valid && m.Type == protocol.RdReq {
-		// Degenerate home line; the simulator drops and serves fresh.
-		*t = emptyLine
-	} else if t.Valid {
-		// Wait for the collapse, unless a single-node tree tore down
-		// instantly.
-		if c.teardown(s, c.Home, network.Local); t.Valid {
+	case protocol.RdReq, protocol.WrReq:
+		st := treecc.Request(t, site, m.Type == protocol.WrReq, s.pend)
+		c.apply(s, node, st)
+		switch st.Act {
+		case treecc.QueuePending:
+			s.pendq = append(s.pendq, m)
+		case treecc.QueueHome:
 			s.homeq = append(s.homeq, m)
+		case treecc.Eject:
+			if st.Fx&treecc.FxHomeServe != 0 {
+				s.pend = true
+				m.HomeServe = true
+			}
+			s.nicq[node] = append(s.nicq[node], m)
+		default:
+			send(s, node, st.Out, m)
+		}
+	case protocol.RdReply, protocol.WrReply:
+		st := treecc.Reply(t, site, treecc.ReplyMsg{Requester: c.Ops[m.Op].Node, Arrival: arrival,
+			Root: m.Root, Built: m.Built, Read: m.Type == protocol.RdReply})
+		if st.Act == treecc.Revert || st.Act == treecc.Stall {
+			// Tree caches are unbounded here, so a reply stalls only
+			// on a line mid-teardown; the engine's timeout recovery
+			// reverts it to a request, and so does the model, at once.
+			if m.Root && arrival == network.Local {
+				c.releasePend(s)
+			}
+			req := protocol.RdReq
+			if m.Type == protocol.WrReply {
+				req = protocol.WrReq
+			}
+			c.route(s, node, msg{Type: req, Op: m.Op}, network.Local)
 			return
 		}
+		c.apply(s, node, st)
+		// A forwarded fresh reply enters its channel before the pending
+		// queue re-routes (a released write's teardown chases it in FIFO
+		// order, as the simulator's age-based arbitration orders them);
+		// an ejected one reaches the NIC queue after it.
+		if st.Act == treecc.Forward {
+			m.Built = st.Built
+			send(s, node, st.Out, m)
+		}
+		if st.Fx&treecc.FxReleasePending != 0 {
+			c.releasePend(s)
+		}
+		if st.Act == treecc.Eject {
+			s.nicq[node] = append(s.nicq[node], m)
+		}
+	case protocol.Teardown:
+		c.apply(s, node, treecc.Teardown(t, site, arrival, false))
+	case protocol.TdAck:
+		c.apply(s, node, treecc.Ack(t, site, arrival, m.Built))
 	}
-	s.pend = true
-	m.HomeServe = true
-	s.nicq[c.Home] = append(s.nicq[c.Home], m)
 }
 
-// revert turns a reply back into a request at node, releasing the
-// home-serve window if the reply owned it (it was fresh and had not yet
-// anchored the home line).
-func (c *Checker) revert(s *state, node int, m msg, arrival network.Dir) {
-	if m.Root && arrival == network.Local {
-		c.releasePend(s)
+// site is the kernel's view of node. The model has no reissue epochs, so
+// BugAcceptStaleReply is rendered as what lets a stale completion through
+// in the engine: the acknowledgment hold is dropped here, and nicServe
+// installs a reply in any live line.
+func (c *Checker) site(node int) treecc.Site {
+	bugs := c.Bugs
+	if c.has(treecc.BugAcceptStaleReply) {
+		bugs |= treecc.BugDropAckHold
 	}
-	t := protocol.RdReq
-	if m.Type == protocol.WrReply {
-		t = protocol.WrReq
-	}
-	c.route(s, node, msg{Type: t, Op: m.Op}, network.Local)
+	return treecc.Site{Node: node, Home: c.Home, Topo: c.Topo, Bugs: bugs}
 }
 
-func (c *Checker) routeReply(s *state, node int, m msg, arrival network.Dir) {
-	t := &s.lines[node]
-	req := c.Ops[m.Op].Node
-	// Origin guard for grafting replies (the serve raced a teardown).
-	if arrival == network.Local && !m.Root {
-		if !t.Valid || t.Touched {
-			c.route(s, node, msg{Type: protocol.RdReq, Op: m.Op}, network.Local)
-			return
+// apply renders a step's effects on the model state in the kernel's
+// order: line allocation, data drop, teardown fan-out, acknowledgment, line
+// free, teardown completion. Generations, replicas and the engine's
+// counters have no model state.
+func (c *Checker) apply(s *state, node int, st treecc.Step) {
+	if st.Fx&treecc.FxAlloc != 0 {
+		s.lines[node] = line{TreeLine: st.New, Valid: true}
+	}
+	if st.Fx&treecc.FxDropData != 0 {
+		c.invalidateData(s, node)
+	}
+	for d := network.Dir(0); d < network.MaxDegree; d++ {
+		if st.Fanout&(1<<d) != 0 {
+			send(s, node, d, msg{Type: protocol.Teardown, Op: -1})
 		}
 	}
-	if node == req {
-		switch {
-		case t.Valid && !t.Touched:
-			if m.Root {
-				if t.LocalValid {
-					c.invalidateData(s, node)
-					t.LocalValid = false
-				}
-				t.IsRoot = true
-				t.RootDir = network.DirNone
-				t.Links = [network.MaxDegree]bool{}
-				if arrival != network.Local {
-					t.Links[arrival] = true
-				}
-			} else if m.Built && arrival != network.Local && !t.Links[arrival] {
-				// Graft re-entry at the requester: unlink the
-				// sender's dangling bit.
-				send(s, node, arrival, msg{Type: protocol.TdAck, Op: -1, Built: true /* unlink */})
-			}
-			t.OutstandingReq = true
-		case !t.Valid:
-			*t = emptyLine
-			t.Valid, t.OutstandingReq = true, true
-			if arrival != network.Local {
-				t.Links[arrival] = true
-			}
-			if m.Root {
-				t.IsRoot = true
-			} else {
-				t.RootDir = arrival
-			}
-		case !t.OutstandingReq:
-			// Touched, and no acknowledgment is held for this reply.
-			c.revert(s, node, m, arrival)
-			return
-		}
-		// Eject for the completion. A touched line whose acknowledgment
-		// is held for this reply completes uncached, releasing the
-		// collapse.
-		if s.pend && m.Root && arrival == network.Local {
-			c.releasePend(s)
-		}
-		s.nicq[node] = append(s.nicq[node], m)
-		return
+	if st.Fx&(treecc.FxAck|treecc.FxUnlink) != 0 {
+		send(s, node, st.Ack, msg{Type: protocol.TdAck, Op: -1, Built: st.Fx&treecc.FxUnlink != 0})
 	}
-	out := c.Topo.NextHop(node, req)
-	if t.Valid && !t.Touched {
-		if !m.Root {
-			if m.Built && arrival != network.Local && !t.Links[arrival] {
-				send(s, node, arrival, msg{Type: protocol.TdAck, Op: -1, Built: true})
-			}
-			if d, ok := t.CloserLink(c.Topo, node, req); ok {
-				m.Built = false
-				send(s, node, d, m)
-				return
-			}
-			t.Links[out] = true
-			m.Built = true
-			send(s, node, out, m)
-			return
-		}
-		// Fresh-tree reply absorbing a remnant.
-		if t.LocalValid {
-			c.invalidateData(s, node)
-			t.LocalValid = false
-		}
-		t.Links = [network.MaxDegree]bool{}
-		if arrival != network.Local {
-			t.Links[arrival] = true
-		}
-		t.Links[out] = true
-		t.RootDir = out
-		t.IsRoot = false
-		t.OutstandingReq = false
-		m.Built = true
-		// The reply must enter the channel before the pending queue
-		// re-routes (a released write's teardown chases it in FIFO
-		// order, mirroring the simulator's age-based arbitration).
-		send(s, node, out, m)
-		if s.pend && arrival == network.Local && node == c.Home {
-			c.releasePend(s)
-		}
-		return
+	if st.Fx&treecc.FxFree != 0 {
+		s.lines[node] = emptyLine
 	}
-	if !t.Valid {
-		if !m.Root && !m.Built && arrival != network.Local {
-			// Followed a tree edge into a collapsed node: revert.
-			c.revert(s, node, m, arrival)
-			return
+	if st.Fx&treecc.FxComplete != 0 {
+		// The tree is gone: re-route the requests queued behind it.
+		// Victim caching is folded into memV (writebacks are
+		// immediate), so there is no home copy to install.
+		q := s.homeq
+		s.homeq = nil
+		for _, w := range q {
+			c.route(s, c.Home, w, network.Local)
 		}
-		*t = emptyLine
-		t.Valid = true
-		if arrival != network.Local {
-			t.Links[arrival] = true
-		}
-		t.Links[out] = true
-		if m.Root {
-			t.RootDir = out
-		} else {
-			t.RootDir = arrival
-		}
-		m.Built = true
-		send(s, node, out, m)
-		if s.pend && m.Root && arrival == network.Local && node == c.Home {
-			c.releasePend(s)
-		}
-		return
 	}
-	// Touched: revert to a request (the simulator stalls then times out).
-	c.revert(s, node, m, arrival)
 }
 
 // releasePend lifts the home-serve marker and re-routes the queued
@@ -346,116 +243,14 @@ func (c *Checker) invalidateData(s *state, node int) {
 	s.data[node] = dInvalid
 }
 
-// teardown ports processTeardown (no ClearArrival: no timeout aborts in
-// the reduced model).
-func (c *Checker) teardown(s *state, node int, arrival network.Dir) {
-	t := &s.lines[node]
-	if !t.Valid || t.Touched {
-		return
-	}
-	t.Touched = true
-	if t.LocalValid && !c.has(treecc.BugSkipInvalidate) {
-		c.invalidateData(s, node)
-		t.LocalValid = false
-	}
-	for d, linked := range t.Links {
-		if linked && network.Dir(d) != arrival {
-			send(s, node, network.Dir(d), msg{Type: protocol.Teardown, Op: -1})
-		}
-	}
-	if node == c.Home && c.has(treecc.BugEarlyHomeRelease) {
-		// Wrong teardown order: the home declares the teardown done the
-		// moment its own line is touched, without waiting for the
-		// subtree to collapse and acknowledge.
-		*t = emptyLine
-		c.teardownComplete(s)
-		return
-	}
-	if t.OutstandingReq && !c.ackHoldOff() {
-		// Hold the acknowledgment until the pending completion lands
-		// (outstanding-request bit).
-		return
-	}
-	switch n := t.LinkCount(); {
-	case n == 0:
-		*t = emptyLine
-		if node == c.Home {
-			c.teardownComplete(s)
-		}
-	case n == 1 && node != c.Home:
-		c.sendAckAndFree(s, node)
-	}
-}
-
-// ack ports processAck; m.Built doubles as the unlink flag for acks.
-func (c *Checker) ack(s *state, node int, arrival network.Dir, m msg) {
-	t := &s.lines[node]
-	if !t.Valid {
-		return
-	}
-	if !t.Touched {
-		if m.Built && arrival != network.Local {
-			t.Links[arrival] = false
-		}
-		return
-	}
-	if arrival != network.Local {
-		if !t.Links[arrival] {
-			return
-		}
-		t.Links[arrival] = false
-	}
-	if t.OutstandingReq && !c.ackHoldOff() {
-		return
-	}
-	c.collapse(s, node)
-}
-
-func (c *Checker) collapse(s *state, node int) {
-	t := &s.lines[node]
-	if node == c.Home {
-		if t.LinkCount() == 0 {
-			*t = emptyLine
-			c.teardownComplete(s)
-		}
-		return
-	}
-	switch t.LinkCount() {
-	case 0:
-		*t = emptyLine
-	case 1:
-		c.sendAckAndFree(s, node)
-	}
-}
-
-// sendAckAndFree collapses a non-home line down to its last link: the
-// acknowledgment goes out that link and the line is freed.
-func (c *Checker) sendAckAndFree(s *state, node int) {
-	t := &s.lines[node]
-	if !c.has(treecc.BugDropTdAck) {
-		send(s, node, t.OnlyLink(), msg{Type: protocol.TdAck, Op: -1})
-	}
-	*t = emptyLine
-}
-
-// teardownComplete releases the home queue. Victim caching is modeled by
-// memory (writebacks are immediate), so the home L2 copy step is folded
-// into memV.
-func (c *Checker) teardownComplete(s *state) {
-	q := s.homeq
-	s.homeq = nil
-	for _, w := range q {
-		c.route(s, c.Home, w, network.Local)
-	}
-}
-
 // nicServe is the above-network work: data sampling, memory access, grant,
 // completion. Atomic.
 func (c *Checker) nicServe(s *state, node int, m msg) {
-	t := &s.lines[node]
+	t := s.lines[node].tree()
 	switch m.Type {
 	case protocol.RdReq:
-		if t.Valid && !t.Touched && t.LocalValid {
+		switch treecc.Serve(t, m.HomeServe) {
+		case treecc.FromTree:
 			// Sharer serve: a dirty line writes back (M -> S).
 			if s.data[node] == dModified {
 				if !c.has(treecc.BugLostWriteback) {
@@ -469,70 +264,45 @@ func (c *Checker) nicServe(s *state, node int, m msg) {
 			}
 			s.ops[m.Op].Sampled = v
 			c.route(s, node, msg{Type: protocol.RdReply, Op: m.Op, Ver: v}, network.Local)
-			return
-		}
-		if !m.HomeServe {
-			// Raced serve: retry toward home.
+		case treecc.Reroute:
 			c.route(s, node, msg{Type: protocol.RdReq, Op: m.Op}, network.Local)
-			return
+		case treecc.FromHome:
+			// Memory (victim caching folded into memV).
+			v := s.memV
+			s.ops[m.Op].Sampled = v
+			c.route(s, node, msg{Type: protocol.RdReply, Op: m.Op, Ver: v, Root: true}, network.Local)
 		}
-		// Home serve from memory (victim caching folded into memV).
-		v := s.memV
-		s.ops[m.Op].Sampled = v
-		c.route(s, node, msg{Type: protocol.RdReply, Op: m.Op, Ver: v, Root: true}, network.Local)
 	case protocol.WrReq:
 		// Grant (Requirement 3: home data copy invalidated).
 		if s.data[node] != dInvalid && node == c.Home {
 			c.invalidateData(s, node)
 		}
 		c.route(s, node, msg{Type: protocol.WrReply, Op: m.Op, Root: true}, network.Local)
-	case protocol.RdReply:
-		if t.Valid && !t.Touched && (t.OutstandingReq || c.has(treecc.BugAcceptStaleReply)) {
-			s.data[node] = dShared
-			s.dver[node] = m.Ver
-			t.LocalValid = true
-			t.OutstandingReq = false
-		} else {
-			c.releaseHeld(s, node)
+	case protocol.RdReply, protocol.WrReply:
+		if t != nil && !t.Touched && c.has(treecc.BugAcceptStaleReply) {
+			t.OutstandingReq = true // see site
 		}
-		s.ops[m.Op].Phase = opDone
-		s.ops[m.Op].Sampled = m.Ver
-	case protocol.WrReply:
-		s.wrote++
-		v := s.wrote
-		c.checkSoleCopy(s, node)
-		if t.Valid && !t.Touched && (t.OutstandingReq || c.has(treecc.BugAcceptStaleReply)) {
-			s.data[node] = dModified
-			s.dver[node] = v
-			t.LocalValid = true
-			t.OutstandingReq = false
+		st := treecc.Finish(t, c.site(node))
+		write := m.Type == protocol.WrReply
+		v, d := m.Ver, int8(dShared)
+		if write {
+			s.wrote++
+			v, d = s.wrote, dModified
+			c.checkSoleCopy(s, node)
 		} else {
-			// Tree being torn down: write through; the held
-			// acknowledgment guaranteed this commit serialized
-			// before the next grant.
-			if v > s.memV {
+			s.ops[m.Op].Sampled = v
+		}
+		if st.Fx&treecc.FxInstall != 0 {
+			s.data[node], s.dver[node] = d, v
+		} else {
+			// Tree torn down meanwhile: the access completes uncached
+			// (a write writes through; the held acknowledgment kept
+			// this commit ahead of the next grant).
+			if write && v > s.memV {
 				s.memV = v
 			}
-			c.releaseHeld(s, node)
+			c.apply(s, node, st)
 		}
 		s.ops[m.Op].Phase = opDone
 	}
-}
-
-// releaseHeld resumes a collapse held at node by the outstanding-request
-// bit.
-func (c *Checker) releaseHeld(s *state, node int) {
-	t := &s.lines[node]
-	if !t.Valid || !t.Touched || !t.OutstandingReq {
-		return
-	}
-	t.OutstandingReq = false
-	if t.LinkCount() == 0 {
-		*t = emptyLine
-		if node == c.Home {
-			c.teardownComplete(s)
-		}
-		return
-	}
-	c.collapse(s, node)
 }

@@ -135,7 +135,7 @@ func (c Config) Nodes() int { return c.Topology.Nodes() }
 // paper distributes homes across all processors by the low bits of the
 // address tag; with our synthetic line addresses the low bits of the line
 // address give the same uniform static striping.
-func (c Config) Home(addr uint64) int { return int(addr % uint64(c.Nodes())) }
+func (c Config) Home(addr uint64) int { return int(addr % uint64(c.Topology.Nodes())) }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {

@@ -129,8 +129,8 @@ func (e *Engine) replicate(node int, addr uint64, version uint64, gen uint64) {
 
 func (e *Engine) home(addr uint64) int { return e.m.Cfg.Home(addr) }
 
-// ctrlPacket wraps msg in a single-flit (or data-sized) packet originating
-// at src. Dst is advisory: the tree protocol routes per hop.
+// packet wraps msg in a control- or data-sized packet (by message type)
+// originating at src. Dst is advisory: the tree protocol routes per hop.
 func (e *Engine) packet(src int, msg *protocol.Msg) *network.Packet {
 	return e.m.NewPacket(src, e.home(msg.Addr), msg)
 }
@@ -146,7 +146,7 @@ func (e *Engine) StartMiss(node int, addr uint64, write bool, now int64) {
 	}
 	// Note: the paper's outstanding-request bit covers the whole
 	// request/reply window; this implementation sets it only when the
-	// reply anchors the requester's line (see replyAtRequester), because
+	// reply anchors the requester's line (see Reply), because
 	// the teardown ack-hold it gates must cover only the bounded
 	// above-network completion window — holding for a request that is
 	// still traveling could make a teardown wait on itself.
@@ -194,7 +194,9 @@ func (e *Engine) serviceTime(node int, addr uint64) int64 {
 func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 	now := e.m.Kernel.Now()
 	addr := msg.Addr
-	if line, ok := e.trees[node].Peek(addr); ok && !line.Touched && line.LocalValid {
+	line, _ := e.trees[node].Peek(addr)
+	switch Serve(line, msg.HomeServe) {
+	case FromTree:
 		dl, present := e.m.PeekLine(node, addr)
 		if !present {
 			// The data raced away between steering and access;
@@ -226,11 +228,9 @@ func (e *Engine) serveRead(node int, msg *protocol.Msg) {
 			Attempt: msg.Attempt}
 		e.m.Mesh.Spawn(node, e.packet(node, reply), now)
 		return
-	}
-	if !msg.HomeServe {
-		// This ejection was a tree-data serve, but the tree line
-		// vanished while the request was above the network (a
-		// teardown swept past): re-route. Only a request holding the
+	case Reroute:
+		// The tree line vanished while the request was above the
+		// network (a teardown swept past). Only a request holding the
 		// home-serve marker may serve from victim data or memory.
 		e.m.Counters.Inc("tree.serve_races", 1)
 		e.m.Mesh.Spawn(node, e.packet(node, msg), now)
@@ -289,13 +289,12 @@ func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 		e.dropStale(node, msg)
 		return
 	}
-	if line, ok := e.trees[node].Peek(msg.Addr); ok && !line.Touched && line.OutstandingReq {
+	line, _ := e.trees[node].Peek(msg.Addr)
+	if st := Finish(line, e.site(node, msg.Addr)); st.Fx&FxInstall != 0 {
 		e.m.InstallLine(node, msg.Addr, protocol.Shared, msg.Version)
-		line.LocalValid = true
-		line.OutstandingReq = false
 	} else {
 		e.m.Counters.Inc("tree.uncached_completions", 1)
-		e.releaseHeldAck(node, msg.Addr)
+		e.spawnStep(node, msg.Addr, st)
 	}
 	e.m.Check.ObserveRead(msg.Addr, msg.Version, node, now, false)
 	e.m.CompleteAccess(node, false, now, msg.DeadlockCycles)
@@ -307,35 +306,11 @@ func (e *Engine) finishRead(node int, msg *protocol.Msg) {
 // its outstanding-request bit cleared, and a held teardown acknowledgment
 // is let through so the collapse the reply was blocking can finish.
 func (e *Engine) dropStale(node int, msg *protocol.Msg) {
-	if line, ok := e.trees[node].Peek(msg.Addr); ok && line.OutstandingReq {
-		if line.Touched {
-			e.releaseHeldAck(node, msg.Addr)
-		} else {
-			line.OutstandingReq = false
-		}
+	line, _ := e.trees[node].Peek(msg.Addr)
+	if line != nil && !line.Touched {
+		line.OutstandingReq = false
 	}
-}
-
-// releaseHeldAck resumes a collapse that was held at node for the local
-// completion (the outstanding-request bit) now landing.
-func (e *Engine) releaseHeldAck(node int, addr uint64) {
-	line, ok := e.trees[node].Peek(addr)
-	if !ok || !line.Touched || !line.OutstandingReq {
-		return
-	}
-	line.OutstandingReq = false
-	now := e.m.Kernel.Now()
-	if line.LinkCount() == 0 {
-		// A held single-node tree (or all acks already arrived).
-		e.trees[node].Invalidate(addr)
-		if node == e.home(addr) {
-			e.teardownComplete(addr)
-		}
-		return
-	}
-	for _, pkt := range e.collapse(node, addr, line) {
-		e.m.Mesh.Spawn(node, pkt, now)
-	}
+	e.spawnStep(node, msg.Addr, ReleaseHeld(line, e.site(node, msg.Addr)))
 }
 
 // finishWrite completes a write at the requesting node: the write
@@ -347,10 +322,9 @@ func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
 		return
 	}
 	v := e.m.Check.CommitWrite(msg.Addr, node, now)
-	if line, ok := e.trees[node].Peek(msg.Addr); ok && !line.Touched && line.OutstandingReq {
+	line, _ := e.trees[node].Peek(msg.Addr)
+	if st := Finish(line, e.site(node, msg.Addr)); st.Fx&FxInstall != 0 {
 		e.m.InstallLine(node, msg.Addr, protocol.Modified, v)
-		line.LocalValid = true
-		line.OutstandingReq = false
 	} else {
 		// The fresh tree is already being torn down (e.g. a proactive
 		// eviction raced the grant): complete write-through so the
@@ -361,7 +335,7 @@ func (e *Engine) finishWrite(node int, msg *protocol.Msg) {
 			e.m.Mem.Writeback(msg.Addr, v)
 		}
 		e.m.Counters.Inc("tree.uncached_completions", 1)
-		e.releaseHeldAck(node, msg.Addr)
+		e.spawnStep(node, msg.Addr, st)
 	}
 	e.m.CompleteAccess(node, true, now, msg.DeadlockCycles)
 }
@@ -379,9 +353,7 @@ func (e *Engine) OnL2Evict(node int, addr uint64, dl protocol.DataLine, now int6
 		return
 	}
 	e.rootData[addr] = dl.Version
-	for _, p := range e.processTeardown(node, addr, network.DirNone, false) {
-		e.m.Mesh.Spawn(node, p, now)
-	}
+	e.spawnStep(node, addr, Teardown(line, e.site(node, addr), network.DirNone, false))
 }
 
 // Quiesced implements protocol.Engine.

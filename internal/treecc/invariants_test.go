@@ -4,22 +4,13 @@ import (
 	"fmt"
 	"testing"
 
-	"innetcc/internal/network"
 	"innetcc/internal/protocol"
 )
 
-// checkTreeInvariants validates the structural health of all virtual trees
-// at quiescence:
-//
-//  1. no line is left Touched (every teardown ran to completion);
-//  2. links are symmetric: if node u has a virtual link toward v for an
-//     address, v has the matching link toward u;
-//  3. every address with any tree line has exactly one root, and every
-//     non-root line's RootDir link exists;
-//  4. following RootDir from any tree node reaches the root;
-//  5. the home node of the address is part of its tree;
-//  6. every valid data-cache copy is anchored: its node's tree line exists
-//     with LocalValid set, and LocalValid lines have the data.
+// checkTreeInvariants validates the health of all virtual trees at
+// quiescence: each address's tree passes CheckTree, and every valid
+// data-cache copy is anchored (its node's tree line exists with LocalValid
+// set, and LocalValid lines have the data).
 func checkTreeInvariants(t *testing.T, m *protocol.Machine, e *Engine) {
 	t.Helper()
 	topo := e.topo
@@ -40,75 +31,12 @@ func checkTreeInvariants(t *testing.T, m *protocol.Machine, e *Engine) {
 		})
 	}
 
-	for k, v := range lines {
-		if v.Touched {
-			t.Errorf("node %d addr %#x: line left Touched at quiescence", k.node, k.addr)
-		}
-		for d := 0; d < topo.Degree(); d++ {
-			if !v.Links[d] {
-				continue
-			}
-			nb, ok := topo.Neighbor(k.node, network.Dir(d))
-			if !ok {
-				t.Errorf("node %d addr %#x: link %v points off-fabric", k.node, k.addr, network.Dir(d))
-				continue
-			}
-			other, ok := lines[key{nb, k.addr}]
-			if !ok {
-				t.Errorf("node %d addr %#x: link %v dangles (no line at node %d)", k.node, k.addr, network.Dir(d), nb)
-				continue
-			}
-			if !other.Links[topo.Arrival(network.Dir(d))] {
-				t.Errorf("addr %#x: asymmetric link %d->%d", k.addr, k.node, nb)
-			}
-		}
-		if !v.IsRoot {
-			if int(v.RootDir) >= topo.Degree() || !v.Links[v.RootDir] {
-				t.Errorf("node %d addr %#x: RootDir %v is not a live link", k.node, k.addr, v.RootDir)
-			}
-		}
-	}
-
-	for addr, members := range addrs {
-		roots := 0
-		for _, n := range members {
-			if lines[key{n, addr}].IsRoot {
-				roots++
-			}
-		}
-		if roots != 1 {
-			t.Errorf("addr %#x: %d roots among nodes %v", addr, roots, members)
-		}
-		homeIn := false
-		for _, n := range members {
-			if n == m.Cfg.Home(addr) {
-				homeIn = true
-			}
-		}
-		if !homeIn {
-			t.Errorf("addr %#x: home node %d not part of tree %v", addr, m.Cfg.Home(addr), members)
-		}
-		// Root reachability via RootDir pointers.
-		for _, n := range members {
-			cur, steps := n, 0
-			for !lines[key{cur, addr}].IsRoot {
-				d := lines[key{cur, addr}].RootDir
-				nb, ok := topo.Neighbor(cur, d)
-				if !ok {
-					t.Errorf("addr %#x: RootDir walk from %d fell off fabric", addr, n)
-					break
-				}
-				if _, present := lines[key{nb, addr}]; !present {
-					t.Errorf("addr %#x: RootDir walk from %d hit lineless node %d", addr, n, nb)
-					break
-				}
-				cur = nb
-				steps++
-				if steps > nodes {
-					t.Errorf("addr %#x: RootDir walk from %d cycles", addr, n)
-					break
-				}
-			}
+	for addr := range addrs {
+		for _, p := range CheckTree(topo, m.Cfg.Home(addr), nodes, func(n int) (*TreeLine, bool) {
+			l, ok := lines[key{n, addr}]
+			return l, ok
+		}) {
+			t.Errorf("addr %#x: %s", addr, p)
 		}
 	}
 

@@ -8,20 +8,24 @@ import (
 
 // Route implements network.Policy: the per-hop protocol kernel of the
 // paper's Table 1, executed by the virtual-tree-cache pipeline stage of
-// every router a packet visits.
+// every router a packet visits. The decisions are kernel.go's; this layer
+// turns them into packets, counters, metrics, L2 work and timing.
 func (e *Engine) Route(r *network.Router, p *network.Packet, now int64) network.Steer {
 	msg := p.Payload.(*protocol.Msg)
 	switch msg.Type {
 	case protocol.Teardown, protocol.TdAck:
 		return e.routeHop(r, p, msg)
-	case protocol.RdReq:
-		return e.routeReadReq(r, p, msg, now)
-	case protocol.WrReq:
-		return e.routeWriteReq(r, p, msg, now)
+	case protocol.RdReq, protocol.WrReq:
+		return e.routeRequest(r, msg, now)
 	case protocol.RdReply, protocol.WrReply:
 		return e.routeReply(r, p, msg, now)
 	}
 	panic("treecc: unroutable message " + msg.Type.String())
+}
+
+// site is the kernel's view of node for addr.
+func (e *Engine) site(node int, addr uint64) Site {
+	return Site{Node: node, Home: e.home(addr), Topo: e.topo, Bugs: e.Bugs}
 }
 
 // routeHop moves teardown/ack packets: freshly spawned ones exit on their
@@ -34,13 +38,15 @@ func (e *Engine) routeHop(r *network.Router, p *network.Packet, msg *protocol.Ms
 		}
 		return network.Steer{Out: network.Dir(msg.ForcedDir)}
 	}
-	var spawns []*network.Packet
+	n := r.NodeID
+	line, _ := e.trees[n].Peek(msg.Addr)
+	var st Step
 	if msg.Type == protocol.Teardown {
-		spawns = e.processTeardown(r.NodeID, msg.Addr, p.ArrivalDir, msg.ClearArrival)
+		st = Teardown(line, e.site(n, msg.Addr), p.ArrivalDir, msg.ClearArrival)
 	} else {
-		spawns = e.processAck(r.NodeID, msg.Addr, p.ArrivalDir, msg.Unlink)
+		st = Ack(line, e.site(n, msg.Addr), p.ArrivalDir, msg.Unlink)
 	}
-	return network.Steer{Consume: true, Spawn: spawns}
+	return network.Steer{Consume: true, Spawn: e.collapseFx(n, msg.Addr, &st, nil)}
 }
 
 // forkHop expands a masked multicast hop message at its spawning router:
@@ -109,8 +115,10 @@ func backoffDelay(seed, addr uint64, requester int, now, lo, hi int64) int64 {
 	return lo + int64(x%uint64(hi-lo+1))
 }
 
-// routeReadReq implements Table 1's RD_REQ kernel.
-func (e *Engine) routeReadReq(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
+// routeRequest implements Table 1's RD_REQ and WR_REQ kernels, plus the
+// proactive eviction of a conflicting LRU tree on a write's way to the
+// home node.
+func (e *Engine) routeRequest(r *network.Router, msg *protocol.Msg, now int64) network.Steer {
 	n := r.NodeID
 	addr := msg.Addr
 	home := e.home(addr)
@@ -127,236 +135,95 @@ func (e *Engine) routeReadReq(r *network.Router, p *network.Packet, msg *protoco
 			c.Event(now, metrics.EvTreeMiss, int16(n), addr, int64(msg.Requester))
 		}
 	}
-	if ok && !line.Touched {
-		if line.LocalValid {
-			// Valid data here: terminate in-transit, serve above
-			// network (data cache access).
-			return network.Steer{Out: network.Local}
-		}
-		if !line.IsRoot && int(line.RootDir) < e.deg && line.Links[line.RootDir] {
-			// Part of the tree without data: steer toward the root.
-			e.m.Metrics.Add(metrics.CTreeBump, 1)
-			e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
-			return network.Steer{Out: line.RootDir}
-		}
-		// Degenerate line (root without data, or dangling root
-		// pointer): treat as off-tree and head for the home node;
-		// teardown of such lines is already in flight or will come
-		// from proactive eviction.
-	}
+	write := msg.Type == protocol.WrReq
+	pending := false
 	if n == home {
-		if _, pend := e.pending[n][addr]; pend && !e.hasBug(BugDoubleGrant) {
-			e.queueOnPending(addr, msg)
-			return network.Steer{Consume: true}
-		}
-		if ok && line.Touched {
-			// Requirement 1: wait for the teardown to finish.
-			e.queueAtHome(addr, msg)
-			return network.Steer{Consume: true}
-		}
-		if ok && !line.Touched {
-			// Home is on the tree but the walk above fell through
-			// (degenerate shape): serialize through the home just
-			// like a fresh serve.
-			e.trees[n].Invalidate(addr)
-		}
-		// No tree: serve from victim copy or memory above network.
-		e.setPending(addr)
-		msg.HomeServe = true
-		return network.Steer{Out: network.Local}
+		_, pending = e.pending[n][addr]
 	}
-	return network.Steer{Out: e.topo.NextHop(n, home)}
-}
-
-// routeWriteReq implements Table 1's WR_REQ kernel, including the in-transit
-// teardown of encountered trees and the proactive eviction of conflicting
-// LRU trees on the way to the home node.
-func (e *Engine) routeWriteReq(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
-	n := r.NodeID
-	addr := msg.Addr
-	home := e.home(addr)
-	if msg.Backoff && n == home {
-		return e.consumeToBackoff(home, msg)
-	}
-	line, ok := e.trees[n].Lookup(addr)
-	if c := e.m.Metrics; c != nil {
-		if ok && !line.Touched {
-			c.Add(metrics.CTreeHit, 1)
-			c.Event(now, metrics.EvTreeHit, int16(n), addr, int64(msg.Requester))
-		} else {
-			c.Add(metrics.CTreeMiss, 1)
-			c.Event(now, metrics.EvTreeMiss, int16(n), addr, int64(msg.Requester))
-		}
-	}
-	if n == home {
-		if _, pend := e.pending[n][addr]; pend && !e.hasBug(BugDoubleGrant) {
-			e.queueOnPending(addr, msg)
-			return network.Steer{Consume: true}
-		}
-		if ok && line.Touched {
-			e.queueAtHome(addr, msg)
-			return network.Steer{Consume: true}
-		}
-		if ok {
-			// A tree exists: tear it down and wait for completion
-			// before granting (the home arbitrates writes).
-			spawns := e.processTeardown(n, addr, network.DirNone, false)
-			// processTeardown may have completed instantly
-			// (single-node tree); requeue accordingly.
-			if _, stillThere := e.trees[n].Peek(addr); stillThere {
-				e.queueAtHome(addr, msg)
-				return network.Steer{Consume: true, Spawn: spawns}
-			}
-			e.setPending(addr)
-			msg.HomeServe = true
-			return network.Steer{Out: network.Local, Spawn: spawns}
-		}
-		// No tree: grant above network (Requirement 3 invalidation of
-		// the home's victim copy happens there).
-		e.setPending(addr)
-		msg.HomeServe = true
-		return network.Steer{Out: network.Local}
-	}
-	var spawns []*network.Packet
-	if ok && !line.Touched {
-		// The write bumped into the line's tree: start invalidating
-		// in-transit (the paper's Figure 1(b) optimization).
-		spawns = e.processTeardown(n, addr, network.DirNone, false)
+	st := Request(line, Site{Node: n, Home: home, Topo: e.topo, Bugs: e.Bugs}, write, pending)
+	spawns := e.collapseFx(n, addr, &st, nil)
+	switch {
+	case st.Fx&FxBump != 0 && write:
 		e.m.Counters.Inc("tree.write_bumps", 1)
 		e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
-	} else if !ok && e.m.Cfg.ProactiveEviction && !e.trees[n].HasFreeWay(addr) {
+	case st.Fx&FxBump != 0:
+		e.m.Metrics.Add(metrics.CTreeBump, 1)
+		e.m.Metrics.Event(now, metrics.EvBump, int16(n), addr, int64(msg.Requester))
+	case write && !ok && n != home && e.m.Cfg.ProactiveEviction && !e.trees[n].HasFreeWay(addr):
 		// Proactive eviction: the set this line would occupy is full,
 		// so tear down its LRU tree now to spare the reply the wait.
-		if vaddr, _, found := e.trees[n].LRUVictim(addr, func(_ uint64, v *TreeLine) bool {
-			return !v.Touched
-		}); found {
-			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
+		if vaddr, found := e.evictLRU(n, addr, &spawns); found {
 			e.m.Counters.Inc("tree.proactive_evictions", 1)
 			e.m.Metrics.Event(now, metrics.EvProactiveEvict, int16(n), vaddr, int64(msg.Requester))
 		}
 	}
-	return network.Steer{Out: e.topo.NextHop(n, home), Spawn: spawns}
+	switch st.Act {
+	case QueuePending:
+		e.queueOnPending(addr, msg)
+		return network.Steer{Consume: true}
+	case QueueHome:
+		e.queueAtHome(addr, msg)
+		return network.Steer{Consume: true, Spawn: spawns}
+	case Eject:
+		if st.Fx&FxHomeServe != 0 {
+			e.setPending(addr)
+			msg.HomeServe = true
+		}
+		return network.Steer{Out: network.Local, Spawn: spawns}
+	}
+	return network.Steer{Out: st.Out, Spawn: spawns}
 }
 
 // routeReply implements Table 1's RD_REPLY / WR_REPLY kernels: route toward
-// the requester, following tree links that lead closer when grafting onto
-// an existing tree, constructing virtual links otherwise, stalling (with
-// LRU-tree teardown and the timeout escape) when the matching set has no
-// free way.
+// the requester, grafting onto an existing tree or constructing virtual
+// links, and stalling (with LRU-tree teardown and the timeout escape) when
+// the line is mid-teardown or its set has no free way.
 func (e *Engine) routeReply(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
 	n := r.NodeID
 	addr := msg.Addr
-
-	if p.ArrivalDir == network.Local && !msg.RequesterIsRoot {
-		// First router visit of a reply grafting onto an existing
-		// tree: the serving node must still be on a live tree. If a
-		// teardown swept past while the data access was above the
-		// network, any branch we build would be orphaned (no teardown
-		// will ever chase it), so revert to a request instead.
-		if line, ok := e.trees[n].Lookup(addr); !ok || line.Touched {
-			e.m.Counters.Inc("tree.serve_races", 1)
-			return e.revertToRequest(n, msg)
-		}
-	}
-
-	// A fresh-tree reply's first router visit happens at the home node;
-	// once it anchors the home's tree line (or aborts), the home-serve
-	// serialization marker lifts and queued requests re-dispatch against
-	// the new tree.
-	freshAtHome := p.ArrivalDir == network.Local && msg.RequesterIsRoot
-
-	if n == msg.Requester {
-		return e.replyAtRequester(r, p, msg, now)
-	}
-
 	line, ok := e.trees[n].Lookup(addr)
-	if ok && !line.Touched {
-		out := e.topo.NextHop(n, msg.Requester)
-		if !msg.RequesterIsRoot {
-			// The reply re-entered the tree over a link it built at
-			// the previous node: recording the mirror bit here could
-			// close a cycle, so erase the sender's dangling bit
-			// instead (see teardown.go).
-			var spawns []*network.Packet
-			if msg.BuiltLast && p.ArrivalDir != network.Local && !line.Links[p.ArrivalDir] {
-				ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
-					ForcedDir: uint8(p.ArrivalDir), Unlink: true}
-				spawns = append(spawns, e.hopPacket(n, ul))
-				e.m.Counters.Inc("tree.reentries", 1)
-			}
-			if e.m.Cfg.Replication && !line.LocalValid && msg.Type == protocol.RdReply {
-				e.replicate(n, addr, msg.Version, line.Gen)
-			}
-			// Grafting onto an existing tree: prefer an existing
-			// link that leads one hop closer to the requester.
-			if d, found := line.CloserLink(e.topo, n, msg.Requester); found {
-				msg.BuiltLast = false
-				return network.Steer{Out: d, Spawn: spawns}
-			}
-			// No closer link: extend the tree along X-Y routing.
-			line.Links[out] = true
-			msg.BuiltLast = true
-			return network.Steer{Out: out, Spawn: spawns}
+	st := Reply(line, e.site(n, addr), ReplyMsg{Requester: msg.Requester, Arrival: p.ArrivalDir,
+		Root: msg.RequesterIsRoot, Built: msg.BuiltLast, Read: msg.Type == protocol.RdReply})
+	switch st.Act {
+	case Revert:
+		if st.Fx&FxRaced != 0 {
+			e.m.Counters.Inc("tree.serve_races", 1)
 		}
-		// A fresh-tree reply normally never meets a valid line for
-		// its address; a remnant (e.g. an orphaned branch) can
-		// linger. Absorb it: stale local data is invalidated and only
-		// the construction path's links are kept, so no dangling link
-		// can hang a later ack collapse.
-		if line.LocalValid {
-			e.m.InvalidateLine(n, addr)
-			line.LocalValid = false
+		return e.revertToRequest(n, msg)
+	case Stall:
+		return e.stallReply(r, p, msg, ok, now)
+	}
+	if st.Fx&FxAlloc != 0 {
+		nl, allocated := e.trees[n].InsertNoEvict(addr)
+		if !allocated {
+			return e.stallReply(r, p, msg, ok, now)
 		}
-		for d := 0; d < e.deg; d++ {
-			line.Links[d] = false
-		}
-		if p.ArrivalDir != network.Local {
-			line.Links[p.ArrivalDir] = true
-		}
-		line.Links[out] = true
-		line.RootDir = out
-		line.IsRoot = false
-		line.OutstandingReq = false
+		*nl = st.New
+		line = nl
+	}
+	if st.Fx&FxDropData != 0 {
+		e.m.InvalidateLine(n, addr)
+	}
+	if st.Fx&FxNewGen != 0 {
 		line.Gen = e.nextGen(n)
-		msg.BuiltLast = true
-		if freshAtHome {
-			e.releasePending(addr, n)
-		}
-		return network.Steer{Out: out}
 	}
-	if !ok {
-		if !msg.RequesterIsRoot && !msg.BuiltLast && p.ArrivalDir != network.Local {
-			// The reply followed an existing tree link to get here,
-			// yet this node has no line: the tree collapsed across
-			// its path and no teardown will chase a branch built
-			// from this point. Revert to a request.
-			return e.revertToRequest(n, msg)
-		}
-		if nl, allocated := e.trees[n].InsertNoEvict(addr); allocated {
-			out := e.topo.NextHop(n, msg.Requester)
-			if p.ArrivalDir != network.Local {
-				nl.Links[p.ArrivalDir] = true
-			}
-			nl.Links[out] = true
-			if msg.RequesterIsRoot {
-				nl.RootDir = out
-			} else {
-				nl.RootDir = p.ArrivalDir
-			}
-			nl.Gen = e.nextGen(n)
-			if e.m.Cfg.Replication && msg.Type == protocol.RdReply {
-				e.replicate(n, addr, msg.Version, nl.Gen)
-			}
-			msg.BuiltLast = true
-			if freshAtHome {
-				e.releasePending(addr, n)
-			}
-			return network.Steer{Out: out}
-		}
+	var spawns []*network.Packet
+	if st.Fx&FxUnlink != 0 {
+		spawns = append(spawns, e.hopPacket(n, &protocol.Msg{Type: protocol.TdAck, Addr: addr,
+			ForcedDir: uint8(st.Ack), Unlink: true}))
+		e.m.Counters.Inc("tree.reentries", 1)
 	}
-	// Stall: either the matching tag is touched (mid-teardown) or the set
-	// is full of active trees.
-	return e.stallReply(r, p, msg, ok, now)
+	if st.Fx&FxReplicate != 0 && e.m.Cfg.Replication {
+		e.replicate(n, addr, msg.Version, line.Gen)
+	}
+	if st.Fx&FxReleasePending != 0 {
+		e.releasePending(addr, n)
+	}
+	if st.Act == Eject {
+		return network.Steer{Out: network.Local, Spawn: spawns}
+	}
+	msg.BuiltLast = st.Built
+	return network.Steer{Out: st.Out, Spawn: spawns}
 }
 
 // revertToRequest turns an unanchorable read reply back into a read request
@@ -367,90 +234,6 @@ func (e *Engine) revertToRequest(n int, msg *protocol.Msg) network.Steer {
 		Requester: msg.Requester, IssuedAt: msg.IssuedAt,
 		DeadlockCycles: msg.DeadlockCycles, Attempt: msg.Attempt}
 	return network.Steer{Consume: true, Spawn: []*network.Packet{e.packet(n, req)}}
-}
-
-// replyAtRequester anchors the tree at the requesting node and ejects the
-// reply for the above-network data installation.
-func (e *Engine) replyAtRequester(r *network.Router, p *network.Packet, msg *protocol.Msg, now int64) network.Steer {
-	n := r.NodeID
-	addr := msg.Addr
-	freshAtHome := p.ArrivalDir == network.Local && msg.RequesterIsRoot
-	line, ok := e.trees[n].Lookup(addr)
-	if ok && line.Touched && line.OutstandingReq {
-		// The anchored line is being torn down with its acknowledgment
-		// held for this very reply: eject for an uncached completion,
-		// which will release the collapse.
-		if freshAtHome {
-			e.releasePending(addr, n)
-		}
-		return network.Steer{Out: network.Local}
-	}
-	if ok && !line.Touched {
-		if msg.RequesterIsRoot {
-			// The requester becomes the root of the fresh tree; the
-			// construction-path edge is completed symmetrically.
-			// Remnant links other than the construction path would
-			// dangle, and remnant data is stale; scrub both.
-			line.IsRoot = true
-			line.RootDir = network.DirNone
-			if line.LocalValid {
-				e.m.InvalidateLine(n, addr)
-				line.LocalValid = false
-			}
-			for d := 0; d < e.deg; d++ {
-				line.Links[d] = false
-			}
-			if p.ArrivalDir != network.Local {
-				line.Links[p.ArrivalDir] = true
-			}
-		}
-		// Anchor: the outstanding-request bit ties the reply's
-		// above-network completion to this specific line generation
-		// (Figure 4's Req bit); a line rebuilt by another tree in the
-		// completion window will not carry it.
-		line.OutstandingReq = true
-		if msg.RequesterIsRoot {
-			line.Gen = e.nextGen(n)
-		}
-		// A grafting reply reaching a requester that is already part
-		// of the tree adds no link: if the last hop followed a tree
-		// edge the link exists, and if it was freshly built, the
-		// sender's dangling bit is erased by an unlink ack.
-		var spawns []*network.Packet
-		if !msg.RequesterIsRoot && msg.BuiltLast && p.ArrivalDir != network.Local && !line.Links[p.ArrivalDir] {
-			ul := &protocol.Msg{Type: protocol.TdAck, Addr: addr,
-				ForcedDir: uint8(p.ArrivalDir), Unlink: true}
-			spawns = append(spawns, e.hopPacket(n, ul))
-			e.m.Counters.Inc("tree.reentries", 1)
-		}
-		if freshAtHome {
-			e.releasePending(addr, n)
-		}
-		return network.Steer{Out: network.Local, Spawn: spawns}
-	}
-	if !ok {
-		if !msg.RequesterIsRoot && !msg.BuiltLast && p.ArrivalDir != network.Local {
-			return e.revertToRequest(n, msg)
-		}
-		if nl, allocated := e.trees[n].InsertNoEvict(addr); allocated {
-			if p.ArrivalDir != network.Local {
-				nl.Links[p.ArrivalDir] = true
-			}
-			if msg.RequesterIsRoot {
-				nl.IsRoot = true
-				nl.RootDir = network.DirNone
-			} else {
-				nl.RootDir = p.ArrivalDir
-			}
-			nl.OutstandingReq = true
-			nl.Gen = e.nextGen(n)
-			if freshAtHome {
-				e.releasePending(addr, n)
-			}
-			return network.Steer{Out: network.Local}
-		}
-	}
-	return e.stallReply(r, p, msg, ok, now)
 }
 
 // stallReply holds a reply whose tree-cache allocation cannot proceed. On
@@ -466,10 +249,7 @@ func (e *Engine) stallReply(r *network.Router, p *network.Packet, msg *protocol.
 	}
 	var spawns []*network.Packet
 	if p.StallCycles(now) == 0 && !tagTouched {
-		if vaddr, _, found := e.trees[n].LRUVictim(addr, func(_ uint64, v *TreeLine) bool {
-			return !v.Touched
-		}); found {
-			spawns = e.processTeardown(n, vaddr, network.DirNone, false)
+		if vaddr, found := e.evictLRU(n, addr, &spawns); found {
 			e.m.Counters.Inc("tree.conflict_evictions", 1)
 			e.m.Metrics.Event(now, metrics.EvConflictEvict, int16(n), vaddr, int64(msg.Requester))
 		}
@@ -497,11 +277,8 @@ func (e *Engine) abortReply(n int, p *network.Packet, msg *protocol.Msg, now int
 		// If the last hop followed an existing tree link instead, a
 		// teardown of that tree is already collapsing and will reclaim
 		// every link the reply touched — spawning nothing is correct.
-		td := &protocol.Msg{Type: protocol.Teardown, Addr: msg.Addr,
-			ForcedDir: uint8(p.ArrivalDir), ClearArrival: true}
-		spawns = append(spawns, &network.Packet{
-			ID: e.m.Mesh.NextIDFor(n), Flits: e.m.Cfg.CtrlFlits, Payload: td, Expedited: true,
-		})
+		spawns = append(spawns, e.hopPacket(n, &protocol.Msg{Type: protocol.Teardown, Addr: msg.Addr,
+			ForcedDir: uint8(p.ArrivalDir), ClearArrival: true}))
 	}
 	t := protocol.RdReq
 	if msg.Type == protocol.WrReply {

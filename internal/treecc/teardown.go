@@ -1,6 +1,8 @@
 package treecc
 
 import (
+	"math/bits"
+
 	"innetcc/internal/metrics"
 	"innetcc/internal/network"
 	"innetcc/internal/protocol"
@@ -44,167 +46,74 @@ func (e *Engine) hopPacket(node int, msg *protocol.Msg) *network.Packet {
 	}
 }
 
-// processTeardown touches node's line for addr and propagates teardowns.
-// arrival is the link the teardown came in on (DirNone for locally
-// initiated teardowns: write requests bumping into the tree, proactive and
-// conflict evictions, root-data eviction). clearArrival marks the abort
-// teardown of a timed-out reply: the dangling link the reply had built is
-// removed before normal processing. The returned packets must be spawned
-// at the node's router.
-func (e *Engine) processTeardown(node int, addr uint64, arrival network.Dir, clearArrival bool) []*network.Packet {
-	line, ok := e.trees[node].Peek(addr)
-	if !ok {
-		return nil
+// collapseFx carries out a teardown-side step's effects at node in the
+// kernel's order (data drop, teardown fan-out, acknowledgment, line free,
+// teardown completion) and returns spawns with the packets to spawn at the
+// node's router appended.
+func (e *Engine) collapseFx(node int, addr uint64, st *Step, spawns []*network.Packet) []*network.Packet {
+	if st.Fx == 0 && st.Fanout == 0 {
+		return spawns
 	}
-	if line.Touched {
-		if clearArrival && arrival != network.DirNone && line.Links[arrival] {
-			// An abort teardown still owns the dangling link it came
-			// to remove; clearing it may complete the local collapse.
-			line.Links[arrival] = false
-			return e.collapse(node, addr, line)
-		}
-		// Crossing or duplicate teardown on a tree already being torn
-		// down: redundant; every edge's ack comes from the collapse.
-		return nil
+	if st.Fx&FxTouch != 0 {
+		e.m.Counters.Inc("tree.teardowns", 1)
+		e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvTeardown, int16(node), addr, int64(st.Links))
 	}
-	if arrival != network.DirNone && clearArrival {
-		line.Links[arrival] = false
-		arrival = network.DirNone
-	}
-	line.Touched = true
-	e.m.Counters.Inc("tree.teardowns", 1)
-	e.m.Metrics.Event(e.m.Kernel.Now(), metrics.EvTeardown, int16(node), addr, int64(line.LinkCount()))
-	// Invalidate the local data copy (D$: -> Invalid); the root's data is
-	// captured for victim caching at the home node.
-	if line.LocalValid && !e.hasBug(BugSkipInvalidate) {
-		dl, had := e.m.InvalidateLine(node, addr)
-		line.LocalValid = false
-		if had && line.IsRoot {
+	if st.Fx&FxDropData != 0 {
+		if dl, had := e.m.InvalidateLine(node, addr); had && st.Fx&FxRootData != 0 {
 			e.rootData[addr] = dl.Version
 		}
 	}
-	var spawns []*network.Packet
-	var mask uint8
-	fanout := 0
-	for d := 0; d < e.deg; d++ {
-		if line.Links[d] && network.Dir(d) != arrival {
-			mask |= 1 << uint(d)
-			fanout++
-		}
-	}
-	if e.m.Cfg.Multicast && fanout > 1 {
+	if e.m.Cfg.Multicast && bits.OnesCount8(st.Fanout) > 1 {
 		// Hardware multicast: one masked continuation; the router forks
 		// it into per-link copies at the crossbar (see forkHop).
 		e.m.Counters.Inc("tree.td_multicasts", 1)
 		spawns = append(spawns, e.hopPacket(node,
-			&protocol.Msg{Type: protocol.Teardown, Addr: addr, ForcedMask: mask}))
+			&protocol.Msg{Type: protocol.Teardown, Addr: addr, ForcedMask: st.Fanout}))
 	} else {
 		for d := 0; d < e.deg; d++ {
-			if mask&(1<<uint(d)) != 0 {
+			if st.Fanout&(1<<d) != 0 {
 				spawns = append(spawns, e.hopMsg(node, protocol.Teardown, addr, network.Dir(d)))
 			}
 		}
 	}
-	if e.hasBug(BugEarlyHomeRelease) && node == e.home(addr) && line.LinkCount() > 0 {
-		// Seeded defect: the home declares the tree gone the moment its
-		// teardowns fan out, while outer nodes still hold valid data.
-		e.trees[node].Invalidate(addr)
-		e.teardownComplete(addr)
-		return spawns
+	if st.Fx&FxAck != 0 {
+		spawns = append(spawns, e.hopMsg(node, protocol.TdAck, addr, st.Ack))
 	}
-	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
-		// The local node's reply is completing above the network
-		// (outstanding-request bit, Figure 4): the line participates
-		// in the teardown but holds its acknowledgment until the
-		// completion lands, so the next grant cannot serialize ahead
-		// of the pending access.
+	switch {
+	case st.Fx&FxHeld != 0:
 		e.m.Counters.Inc("tree.held_acks", 1)
-		return spawns
+	case st.Fx&FxStale != 0:
+		e.m.Counters.Inc("tree.stale_acks", 1)
+	case st.Fx&FxUnlinked != 0:
+		e.m.Counters.Inc("tree.unlinks", 1)
 	}
-	switch n := line.LinkCount(); {
-	case n == 0:
-		// Single-node tree.
+	if st.Fx&FxFree != 0 {
 		e.trees[node].Invalidate(addr)
-		if node == e.home(addr) {
-			e.teardownComplete(addr)
-		}
-	case n == 1 && node != e.home(addr):
-		// Leaf (the paper's rule), or a single-link initiator whose
-		// chasing ack follows the teardown on the same FIFO link.
-		d := line.OnlyLink()
-		if !e.hasBug(BugDropTdAck) {
-			spawns = append(spawns, e.hopMsg(node, protocol.TdAck, addr, d))
-		}
-		line.Links[d] = false
-		e.trees[node].Invalidate(addr)
+	}
+	if st.Fx&FxComplete != 0 {
+		e.teardownComplete(addr)
 	}
 	return spawns
 }
 
-// processAck handles a teardown acknowledgment arriving at node via link
-// arrival: remove that link and collapse. unlink acks additionally apply to
-// live lines, where they erase a freshly created dangling edge without
-// collapsing anything.
-func (e *Engine) processAck(node int, addr uint64, arrival network.Dir, unlink bool) []*network.Packet {
-	line, ok := e.trees[node].Peek(addr)
-	if !ok {
-		// The line is already gone (e.g. the ack chased a teardown
-		// into a node that collapsed first); nothing to remove.
-		e.m.Counters.Inc("tree.stale_acks", 1)
-		return nil
+// evictLRU tears down the least recently used live tree in addr's set at
+// node, appending its packets to spawns; it reports the victim's address.
+func (e *Engine) evictLRU(node int, addr uint64, spawns *[]*network.Packet) (uint64, bool) {
+	vaddr, v, found := e.trees[node].LRUVictim(addr, func(_ uint64, v *TreeLine) bool {
+		return !v.Touched
+	})
+	if found {
+		st := Teardown(v, e.site(node, vaddr), network.DirNone, false)
+		*spawns = e.collapseFx(node, vaddr, &st, *spawns)
 	}
-	if !line.Touched {
-		if unlink && arrival != network.DirNone {
-			// Erase the dangling edge on the live line.
-			line.Links[arrival] = false
-			e.m.Counters.Inc("tree.unlinks", 1)
-			return nil
-		}
-		// A plain ack can only legitimately land on a touched line; a
-		// valid line here means a new tree reused the tag after the
-		// old one fully collapsed. Leave it alone.
-		e.m.Counters.Inc("tree.stale_acks", 1)
-		return nil
-	}
-	if arrival != network.DirNone {
-		if !line.Links[arrival] {
-			// Stale or duplicate ack on an edge this node does not
-			// hold; it must not trigger a collapse step.
-			e.m.Counters.Inc("tree.stale_acks", 1)
-			return nil
-		}
-		line.Links[arrival] = false
-	}
-	if line.OutstandingReq && !e.hasBug(BugDropAckHold) {
-		// Collapse is held until the local completion lands.
-		return nil
-	}
-	return e.collapse(node, addr, line)
+	return vaddr, found
 }
 
-// collapse applies the post-removal rules at a touched line: the home node
-// terminates acknowledgments and completes at zero links; any other node
-// forwards the acknowledgment up its last remaining link and invalidates.
-func (e *Engine) collapse(node int, addr uint64, line *TreeLine) []*network.Packet {
-	if node == e.home(addr) {
-		if line.LinkCount() == 0 {
-			e.trees[node].Invalidate(addr)
-			e.teardownComplete(addr)
-		}
-		return nil
+// spawnStep carries out a teardown-side step outside the route phase,
+// spawning its packets at node's router.
+func (e *Engine) spawnStep(node int, addr uint64, st Step) {
+	now := e.m.Kernel.Now()
+	for _, p := range e.collapseFx(node, addr, &st, nil) {
+		e.m.Mesh.Spawn(node, p, now)
 	}
-	switch line.LinkCount() {
-	case 0:
-		e.trees[node].Invalidate(addr)
-		return nil
-	case 1:
-		d := line.OnlyLink()
-		line.Links[d] = false
-		e.trees[node].Invalidate(addr)
-		if e.hasBug(BugDropTdAck) {
-			return nil
-		}
-		return []*network.Packet{e.hopMsg(node, protocol.TdAck, addr, d)}
-	}
-	return nil
 }

@@ -8,7 +8,11 @@
 // of the paper (protocol kernel in Table 1, state machines in Figure 3).
 package treecc
 
-import "innetcc/internal/network"
+import (
+	"fmt"
+
+	"innetcc/internal/network"
+)
 
 // TreeLine is one virtual tree cache entry, encoding exactly the fields of
 // the paper's Figure 4: four virtual-link bits (N, S, E, W), the direction
@@ -87,4 +91,76 @@ func (t *TreeLine) CloserLink(topo network.Topology, n, target int) (network.Dir
 		}
 	}
 	return network.DirNone, false
+}
+
+// CheckTree checks the structure of one address's virtual tree at
+// quiescence on topo, whose home node is home; line(n) returns node n's
+// tree line, false when n holds none. It reports one string per problem: a
+// line left touched, a link that leaves the fabric, dangles or has no
+// mirror, a non-root RootDir that is not a live link, a root count other
+// than one, a RootDir walk that does not reach the root, and a home node
+// outside the tree. A tree with no lines is sound.
+func CheckTree(topo network.Topology, home, nodes int, line func(int) (*TreeLine, bool)) []string {
+	var out []string
+	bad := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	deg := topo.Degree()
+	members, roots := 0, 0
+	for n := 0; n < nodes; n++ {
+		t, ok := line(n)
+		if !ok {
+			continue
+		}
+		members++
+		if t.Touched {
+			bad("n%d line left touched", n)
+		}
+		if t.IsRoot {
+			roots++
+		} else if int(t.RootDir) >= deg || !t.Links[t.RootDir] {
+			bad("n%d RootDir %v is not a live link", n, t.RootDir)
+		}
+		for d := network.Dir(0); int(d) < deg; d++ {
+			if !t.Links[d] {
+				continue
+			}
+			nb, ok := topo.Neighbor(n, d)
+			if !ok {
+				bad("n%d link %v leaves the fabric", n, d)
+				continue
+			}
+			if other, ok := line(nb); !ok {
+				bad("n%d link %v dangles (n%d holds no line)", n, d, nb)
+			} else if !other.Links[topo.Arrival(d)] {
+				bad("asymmetric link n%d->n%d", n, nb)
+			}
+		}
+	}
+	if members == 0 {
+		return out
+	}
+	if roots != 1 {
+		bad("%d roots among %d tree members", roots, members)
+	}
+	if _, ok := line(home); !ok {
+		bad("home n%d not part of the tree", home)
+	}
+	for n := 0; n < nodes; n++ {
+		cur, steps := n, 0
+		for t, ok := line(n); ok && !t.IsRoot; steps++ {
+			if steps == nodes {
+				bad("RootDir walk from n%d cycles", n)
+				break
+			}
+			nb, valid := topo.Neighbor(cur, t.RootDir)
+			if !valid {
+				bad("RootDir walk from n%d leaves the fabric at n%d", n, cur)
+				break
+			}
+			if t, ok = line(nb); !ok {
+				bad("RootDir walk from n%d reaches n%d, which holds no line", n, nb)
+			}
+			cur = nb
+		}
+	}
+	return out
 }

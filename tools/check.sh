@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository check: build, vet, a guard that the simulator packages import
-# no sync primitives, race-enabled tests, fuzz smoke passes over
+# no sync primitives, race-enabled tests, the model checker's pinned
+# explorations without the race detector, fuzz smoke passes over
 # the trace-file, fault-spec and job-submission parsers, a race-enabled
 # serve and coordinator CLI smoke, a race-enabled fault-injection
 # smoke (drop-plan recovery per engine + watchdog dump), a race-enabled
@@ -36,6 +37,11 @@ if go list -f '{{.ImportPath}}: {{join .Imports " "}}' \
 fi
 
 go test -race ./...
+
+# The model checker's pinned explorations without the race detector:
+# TestScale3x3SixOps (the 1,274,792-state pin) skips under -race, so this
+# is the step that checks it (about 15 s on a 2-CPU host).
+go test -count=1 ./internal/mcheck
 
 # Fuzz smoke: a short randomized session over the trace-file parser on top
 # of the committed regression corpus (testdata/fuzz/FuzzRead).
